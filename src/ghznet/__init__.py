@@ -47,6 +47,8 @@ from .protocol import (
     DegenerateCouplingError,
     EngineCapabilityError,
     GhzTarget,
+    HamiltonianPropagator,
+    PropagationError,
     ProtocolPlan,
     compile_plan,
     entangling_time,

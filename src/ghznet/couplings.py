@@ -121,11 +121,12 @@ def _bit_arrays(n: int) -> list[np.ndarray]:
 
 
 def to_sparse(graph: CouplingGraph) -> csr_matrix:
-    """Sparse CSR matrix of the exchange Hamiltonian in the computational basis.
+    """Sparse float64 CSR matrix of the exchange Hamiltonian.
 
-    The ZZ part is diagonal; each XY bond (l, k) couples every pair of
-    indices related by swapping an excitation between qubits l and k with
-    matrix element g_lk.
+    The Hamiltonian is real symmetric in the computational basis for any
+    graph: the ZZ part is diagonal, and each XY bond (l, k) couples every
+    pair of indices related by swapping an excitation between qubits l and
+    k with matrix element g_lk.
     """
     n = graph.n_qubits
     dim = 1 << n
@@ -150,7 +151,6 @@ def to_sparse(graph: CouplingGraph) -> csr_matrix:
     mat = csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim),
-        dtype=complex,
     )
     mat.sum_duplicates()
     return mat

@@ -8,11 +8,18 @@ qubit 1.  When the ZZ coupling exceeds the XY coupling (gz > g) the even
 family needs an extra z pi/2 on two qubits, which also flips the overall
 sign of the expected global phase.
 
-Executors: the dense engine simulates the full 2^N statevector (small
-dimensions via Hermitian eigendecomposition, large ones via sparse
-``expm_multiply``); the symmetric engine runs collective pulses in the
-(N+1)-dimensional W basis and only falls back to a dense tail for
-non-collective final rotations.
+Executors: the dense engine simulates the full 2^N statevector; the
+symmetric engine runs collective pulses in the (N+1)-dimensional W basis
+and only falls back to a dense tail for non-collective final rotations.
+
+The dense engine's free evolution e^{-iHt} has two paths (see
+:class:`HamiltonianPropagator`).  The factorized path diagonalizes H once
+and makes every later apply a pair of matrix products; the matrix-free
+path expands e^{-iHt} in Chebyshev polynomials of the real sparse H and
+costs a few hundred sparse products per apply.  Factorizing costs O(8^N),
+so it is done eagerly only where it is cheaper than one expansion
+(N <= 6, which covers every optimizer problem), lazily for a propagator
+that is applied a second time up to N = 10, and never above.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse import identity
+from scipy.special import jv
 
 from .couplings import CouplingGraph, ideal, to_sparse
 from .dense import (
@@ -41,9 +49,20 @@ from .symmetric import (
     entangle_phases,
 )
 
-# largest qubit count evolved by full eigendecomposition; beyond this the
-# dense engine switches to sparse Krylov propagation
+# largest qubit count factorized when the propagator is built: up to here
+# one complex eigh is cheaper than a single Chebyshev apply
+EAGER_EIGH_MAX_QUBITS = 6
+# largest qubit count factorized at all, on a propagator's second apply;
+# at N = 10 the eigh pays for itself after about 140 applies
 EIGH_MAX_QUBITS = 10
+# longest Chebyshev expansion attempted, in units of r|t| (the scaled
+# spectrum's radius times the time); only near-degenerate couplings
+# g -> gz, whose entangling time diverges, come close
+MAX_CHEBYSHEV_ORDER = 10_000
+# Bessel coefficients below this (past order r|t|) end the expansion
+CHEBYSHEV_TAIL = 1e-17
+# allowed drift of the norm across one Chebyshev propagation
+CHEBYSHEV_NORM_ATOL = 1e-10
 
 Rotation = tuple[int, str, float]  # (qubit index, axis, angle)
 
@@ -54,6 +73,10 @@ class DegenerateCouplingError(ValueError):
 
 class EngineCapabilityError(ValueError):
     """The requested engine cannot run this plan/graph combination."""
+
+
+class PropagationError(ArithmeticError):
+    """e^{-iHt} cannot be applied to the required accuracy at bounded cost."""
 
 
 @dataclass(frozen=True)
@@ -162,29 +185,126 @@ def compile_plan(n: int, g: float, gz: float) -> ProtocolPlan:
 class HamiltonianPropagator:
     """Reusable e^{-iHt} applier for one coupling graph.
 
-    Small dimensions precompute the eigendecomposition once (exact and
-    cheap to reapply, which matters inside optimization loops); larger
-    dimensions keep the sparse matrix and use Krylov propagation.
+    Two paths, chosen by qubit count and by how often the propagator is
+    applied:
+
+    * factorized -- the full complex eigendecomposition of H, after which
+      each apply is two dense products.  It is built eagerly for
+      N <= ``EAGER_EIGH_MAX_QUBITS``, where it beats even a single
+      matrix-free apply, and lazily on the second ``propagate`` call for
+      N <= ``EIGH_MAX_QUBITS``, since reuse (an optimization loop) soon
+      repays its O(8^N) cost;
+    * matrix-free -- H is stored as real CSR shifted and scaled to
+      [-1, 1] by its Gershgorin bounds (centre c, radius r), and
+      e^{-iHt} psi = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k(H~) psi
+      (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)).  psi is
+      carried as a real (2, dim) array of its real and imaginary parts, so
+      each term is two real sparse matrix-vector products.
+
+    The expansion length grows as r|t|.  Beyond ``MAX_CHEBYSHEV_ORDER`` the
+    propagator factorizes instead when N <= ``EIGH_MAX_QUBITS`` and raises
+    :class:`PropagationError` otherwise; it raises the same error if a
+    matrix-free apply changes the norm by more than ``CHEBYSHEV_NORM_ATOL``.
     """
 
     def __init__(self, graph: CouplingGraph):
         self.n_qubits = graph.n_qubits
         h = to_sparse(graph)
-        if graph.n_qubits <= EIGH_MAX_QUBITS:
-            w, v = np.linalg.eigh(h.toarray())
-            self._eigvals = w
-            self._eigvecs = v
-            self._sparse = None
-        else:
-            self._eigvals = None
-            self._eigvecs = None
-            self._sparse = h
+        self._h = h if graph.n_qubits <= EIGH_MAX_QUBITS else None
+        self._eigvals = None
+        self._eigvecs = None
+        self._scaled = None
+        self._applied = False
+        if graph.n_qubits <= EAGER_EIGH_MAX_QUBITS:
+            self._factorize()
+            return
+        diag = h.diagonal()
+        off = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
+        lower, upper = np.min(diag - off), np.max(diag + off)
+        self._centre = 0.5 * (upper + lower)
+        # r = 0 means H = c I; any positive scale then expands exactly
+        self._radius = 0.5 * (upper - lower) or 1.0
+        self._scaled = (h - self._centre * identity(h.shape[0], format="csr")) / self._radius
+
+    @property
+    def factorized(self) -> bool:
+        """True once applies go through the eigendecomposition."""
+        return self._eigvals is not None
+
+    def _factorize(self) -> None:
+        # complex eigh of the complex matrix, as the N <= 6 results depend
+        # on its exact rounding (the real solver gives different bits)
+        w, v = np.linalg.eigh(self._h.toarray().astype(complex))
+        self._eigvals = w
+        self._eigvecs = v
+        self._h = self._scaled = None
 
     def propagate(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
-        if self._sparse is None:
-            phases = np.exp(-1j * self._eigvals * t)
-            return self._eigvecs @ (phases * (self._eigvecs.conj().T @ amplitudes))
-        return expm_multiply((-1j * t) * self._sparse, amplitudes)
+        if self._eigvals is None:
+            if self.n_qubits <= EIGH_MAX_QUBITS and (
+                self._applied or not self._radius * abs(t) <= MAX_CHEBYSHEV_ORDER
+            ):
+                self._factorize()
+            else:
+                self._applied = True
+                return self._chebyshev(amplitudes, t)
+        phases = np.exp(-1j * self._eigvals * t)
+        return self._eigvecs @ (phases * (self._eigvecs.conj().T @ amplitudes))
+
+    def _chebyshev(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
+        rt = self._radius * t
+        if not abs(rt) <= MAX_CHEBYSHEV_ORDER:
+            raise PropagationError(
+                f"e^(-iHt) at N = {self.n_qubits} needs a Chebyshev expansion of "
+                f"order ~{abs(rt):.3g} > {MAX_CHEBYSHEV_ORDER} (near-degenerate "
+                "couplings give a diverging entangling time)"
+            )
+        coef = _chebyshev_coefficients(rt)
+        # (-i)^k = (-1)^(k//2) on even k and -i (-1)^(k//2) on odd k:
+        # collect the two parities as real blocks, combine at the end
+        coef[1:] *= 2.0
+        coef[2::4] *= -1.0
+        coef[3::4] *= -1.0
+        h = self._scaled
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            # one single-vector product per row: scipy's multi-vector CSR
+            # kernel is slower than two single-vector ones
+            return np.array([h @ v[0], h @ v[1]])
+
+        prev = np.array([amplitudes.real, amplitudes.imag])
+        sums = [coef[0] * prev, np.zeros_like(prev)]
+        cur = apply(prev)
+        for k in range(1, len(coef)):
+            if k > 1:
+                nxt = apply(cur)
+                nxt *= 2.0
+                nxt -= prev
+                prev, cur = cur, nxt
+            sums[k % 2] += coef[k] * cur
+        even, odd = sums
+        out = (even[0] + odd[1]) + 1j * (even[1] - odd[0])
+        out *= np.exp(-1j * self._centre * t)
+        norm_in = np.linalg.norm(amplitudes)
+        drift = abs(np.linalg.norm(out) - norm_in)
+        if not drift <= CHEBYSHEV_NORM_ATOL * norm_in:
+            raise PropagationError(
+                f"Chebyshev propagation changed the norm by {drift:.2e} "
+                f"(N = {self.n_qubits}, t = {t:g})"
+            )
+        return out
+
+
+def _chebyshev_coefficients(x: float) -> np.ndarray:
+    """J_k(x) for k = 0, 1, ... up to the first k > |x| with |J_k| < tail."""
+    span = 2.0 * abs(x) + 32.0
+    while True:
+        k = np.arange(int(span))
+        j = jv(k, x)
+        small = np.flatnonzero((k > abs(x)) & (np.abs(j) < CHEBYSHEV_TAIL))
+        if small.size:
+            return j[: small[0]]
+        span *= 2.0
 
 
 def _split_collective(

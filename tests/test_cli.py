@@ -1,12 +1,14 @@
 """End-to-end CLI tests: configs, subcommands, file outputs, exit codes."""
 
 import json
+import time
 
 import pytest
 
 from ghznet.cli import (
     ConfigError,
     EXIT_INPUT,
+    EXIT_NUMERICAL,
     EXIT_OK,
     dump_config,
     load_config,
@@ -67,6 +69,14 @@ class TestCommands:
 
     def test_protocol_degenerate_is_input_error(self, capsys):
         assert main(["protocol", "--n", "3", "--g", "1", "--gz", "1"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("n", ["8", "12"])
+    def test_protocol_near_degenerate_is_numerical_failure(self, n, capsys):
+        # N = 8 factorizes and misses the exactness threshold; N = 12 is
+        # refused before an unaffordable Chebyshev expansion starts
+        start = time.monotonic()
+        assert main(["protocol", "--n", n, "--g", "1", "--gz", "0.9999999"]) == EXIT_NUMERICAL
+        assert time.monotonic() - start < 10
 
     def test_optimize_writes_result_and_state(self, tmp_path):
         out = tmp_path / "opt.csv"

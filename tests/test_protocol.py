@@ -2,13 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ghznet.couplings import ideal, perturbed_n3
-from ghznet.dense import all_zeros, apply_collective_rotation, fidelity_frobenius
+from ghznet import protocol
+from ghznet.couplings import ideal, perturbed_general, perturbed_n3, to_dense
+from ghznet.dense import (
+    StateVector,
+    all_zeros,
+    apply_collective_rotation,
+    evolve,
+    fidelity_frobenius,
+)
 from ghznet.protocol import (
     DegenerateCouplingError,
     EngineCapabilityError,
     HamiltonianPropagator,
+    PropagationError,
     compile_plan,
     entangling_time,
     execute,
@@ -163,3 +173,71 @@ class TestDegeneracyGuard:
         for t in (0.3, 1.7, 12.9):
             evolved = prop.propagate(psi.amplitudes, t)
             assert abs(abs(np.vdot(psi.amplitudes, evolved)) - 1) <= 1e-12
+
+
+def _random_state(rng: np.random.Generator, n: int) -> np.ndarray:
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return psi / np.linalg.norm(psi)
+
+
+class TestChebyshevPropagation:
+    @settings(max_examples=6, deadline=None)
+    @given(
+        n=st.integers(7, 9),
+        gz=st.floats(-1.0, 1.0),
+        t=st.floats(-20.0, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_eigendecomposition(self, n, gz, t, seed):
+        rng = np.random.default_rng(seed)
+        pairs = [(l, k) for l in range(1, n + 1) for k in range(l + 1, n + 1)]
+        graph = perturbed_general(n, 1.0, gz, {p: rng.uniform(0.5, 1.5) for p in pairs})
+        psi = _random_state(rng, n)
+        prop = HamiltonianPropagator(graph)
+        got = prop.propagate(psi, t)
+        assert not prop.factorized
+        want = evolve(StateVector(n, psi), to_dense(graph), t).amplitudes
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_reuse_switches_to_factorized(self):
+        n = 8
+        graph = ideal(n, 1.0, 0.05)
+        psi = _random_state(np.random.default_rng(8), n)
+        t = entangling_time(1.0, 0.05)
+        prop = HamiltonianPropagator(graph)
+        first = prop.propagate(psi, t)
+        assert not prop.factorized
+        for _ in range(2):
+            again = prop.propagate(psi, t)
+            assert prop.factorized
+            assert np.max(np.abs(again - first)) <= 1e-12
+
+    def test_small_graphs_factorize_eagerly(self):
+        assert HamiltonianPropagator(ideal(6, 1.0, 0.05)).factorized
+        assert not HamiltonianPropagator(ideal(7, 1.0, 0.05)).factorized
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_uniform_state_is_stationary(self, n):
+        g = 0.7
+        graph = ideal(n, g, g)
+        psi = apply_collective_rotation(all_zeros(n), "y", np.pi / 2).amplitudes
+        for t in (0.1, 1.0, 7.3, 100.0):
+            # a fresh propagator, so every time runs the Chebyshev path
+            evolved = HamiltonianPropagator(graph).propagate(psi, t)
+            assert abs(abs(np.vdot(psi, evolved)) - 1) <= 1e-12
+
+    def test_near_degenerate_refused_above_factorizable_size(self):
+        t = entangling_time(1.0, 0.9999999)
+        prop8 = HamiltonianPropagator(ideal(8, 1.0, 0.9999999))
+        prop8.propagate(_random_state(np.random.default_rng(0), 8), t)
+        assert prop8.factorized
+        prop12 = HamiltonianPropagator(ideal(12, 1.0, 0.9999999))
+        with pytest.raises(PropagationError):
+            prop12.propagate(_random_state(np.random.default_rng(0), 12), t)
+
+    def test_norm_drift_is_a_numerical_error(self, monkeypatch):
+        # a truncated expansion no longer preserves the norm
+        monkeypatch.setattr(protocol, "CHEBYSHEV_TAIL", 1e-3)
+        prop = HamiltonianPropagator(ideal(7, 1.0, 0.05))
+        with pytest.raises(PropagationError):
+            prop.propagate(_random_state(np.random.default_rng(1), 7), 1.0)
