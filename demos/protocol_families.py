@@ -20,7 +20,7 @@ for n in range(2, 11):
     meas = measured.phase
     pred = plan.expected_phase.phase
     print(
-        f"{n:>3} {plan.parity:>6} {len(plan.finals) + 1:>7} {fid:>12.10f} "
+        f"{n:>3} {plan.parity:>6} {len(plan.per_qubit().finals) + 1:>7} {fid:>12.10f} "
         f"{meas.real:+.6f}{meas.imag:+.6f}i {pred.real:+.6f}{pred.imag:+.6f}i"
     )
 
@@ -29,7 +29,7 @@ print("strong-ZZ regime (gz > g): the even family needs two extra z pi/2 pulses"
 for n in (2, 4, 6):
     plan = compile_plan(n, 0.5, 1.0)
     fid, _ = verify(n, 0.5, 1.0)
-    tail = ", ".join(f"z{q}" for q, a, _ in plan.finals if a == "z")
+    tail = ", ".join(f"z{p.qubit}" for p in plan.finals if p.axis == "z")
     print(f"  N = {n}: fidelity {fid:.10f}, z rotations on [{tail}]")
 
 print()

@@ -44,12 +44,14 @@ from .optimizer import (
     write_sweep_csv,
 )
 from .protocol import (
+    PREPARATION,
     DegenerateCouplingError,
     EngineCapabilityError,
     GhzTarget,
     HamiltonianPropagator,
     PropagationError,
     ProtocolPlan,
+    Pulse,
     compile_plan,
     entangling_time,
     execute,

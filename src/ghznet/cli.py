@@ -9,8 +9,10 @@ Subcommands::
     star2delta  pair coupling of the complete graph equivalent to a star
 
 Parameters come from a JSON config file (``--config``); command-line flags
-override file values.  Unknown config keys are rejected.  Exit codes:
-0 success, 1 input error, 2 numerical failure.
+override file values.  Every config key of a command has a ``--kebab-case``
+flag (``--n`` for ``n_qubits``).  Unknown config keys and non-finite
+numbers are rejected.  Exit codes: 0 success, 1 input error, 2 numerical
+failure.
 
 Couplings are dimensionless rates.  ``--report-mhz G`` additionally prints
 pulse times in nanoseconds, treating the XY coupling as an angular
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -95,6 +98,8 @@ SCHEMAS: dict[str, dict[str, tuple[type, object]]] = {
         "n_qubits": (int, 2),
     },
 }
+# keys a command also takes positionally, in order: ghznet star2delta 3.0 3
+POSITIONALS = {"star2delta": ("c_star", "n_qubits")}
 
 
 class ConfigError(ValueError):
@@ -105,8 +110,8 @@ def load_config(command: str, path: str | None, overrides: dict) -> dict:
     """Merge defaults, config-file values, and flag overrides for a command.
 
     Unknown keys in the file or the overrides are rejected; values are
-    coerced to the schema's types.  The result serializes back to JSON and
-    reparses to itself.
+    coerced to the schema's types, and NaN or infinite floats are rejected.
+    The result serializes back to JSON and reparses to itself.
     """
     schema = SCHEMAS[command]
     values = {key: default for key, (_, default) in schema.items()}
@@ -127,6 +132,8 @@ def load_config(command: str, path: str | None, overrides: dict) -> dict:
                 values[key] = typ(raw)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from exc
+            if typ is float and not math.isfinite(values[key]):
+                raise ConfigError(f"config key {key!r}: {raw!r} is not finite")
     return values
 
 
@@ -169,8 +176,9 @@ def cmd_eigs(cfg: dict) -> int:
 def cmd_protocol(cfg: dict) -> int:
     n, g, gz = cfg["n_qubits"], cfg["g"], cfg["gz"]
     plan = compile_plan(n, g, gz)
-    print(json.dumps(plan.to_dict(), indent=2))
+    # run first, so a rejected engine or a failed run prints no plan
     fid, measured = verify(n, g, gz, engine=cfg["engine"])
+    print(json.dumps(plan.to_dict(), indent=2))
     expected = plan.expected_phase.phase
     print(f"fidelity {fid:.6f}")
     print(f"expected phase {expected.real:+.6f}{expected.imag:+.6f}i")
@@ -178,7 +186,7 @@ def cmd_protocol(cfg: dict) -> int:
     if cfg["report_mhz"] > 0:
         t_ns = plan.entangle_duration * 1e3 / (2 * np.pi * cfg["report_mhz"])
         print(f"entangling pulse {t_ns:.3f} ns at g/2pi = {cfg['report_mhz']:g} MHz")
-    if fid < 1 - 1e-8:
+    if not fid >= 1 - 1e-8:
         print("fidelity below the exactness threshold", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
@@ -256,48 +264,43 @@ _COMMANDS = {
 }
 
 
+def _flag(key: str) -> str:
+    return "--n" if key == "n_qubits" else "--" + key.replace("_", "-")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghznet",
         description="GHZ-state pulse protocols on fully connected qubit networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--engine", choices=["dense", "symmetric"])
-        p.add_argument("--seed", type=int)
-        p.add_argument("--report-mhz", type=float, dest="report_mhz")
-        p.add_argument("--n", type=int, dest="n_qubits")
-        p.add_argument("--g", type=float)
-        p.add_argument("--gz", type=float)
-        if name == "star2delta":
-            p.add_argument("c_star", type=float, nargs="?")
-            p.add_argument("n", type=float, nargs="?")
+    # absent flags stay out of the namespace, so it holds only overrides
+    for name, schema in SCHEMAS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("--config", help="JSON config file", default=argparse.SUPPRESS)
+        for key, (typ, default) in schema.items():
+            p.add_argument(
+                _flag(key), dest=key, type=typ, default=argparse.SUPPRESS,
+                help=f"default {default}",
+            )
+        for key in POSITIONALS.get(name, ()):
+            # untyped: load_config coerces it to the schema type
+            p.add_argument(key, nargs="?", default=argparse.SUPPRESS)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        overrides = vars(parser.parse_args(argv))
     except SystemExit as exc:
         # argparse reports usage errors with its own code; normalize
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
-    overrides = {}
-    for key in ("out", "engine", "seed", "report_mhz", "n_qubits", "g", "gz"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if args.command == "star2delta":
-        if getattr(args, "c_star", None) is not None:
-            overrides["c_star"] = args.c_star
-        if getattr(args, "n", None) is not None:
-            overrides["n_qubits"] = int(args.n)
+    command = overrides.pop("command")
+    path = overrides.pop("config", None)
     try:
-        cfg = load_config(args.command, args.config, overrides)
-        return _COMMANDS[args.command](cfg)
+        cfg = load_config(command, path, overrides)
+        return _COMMANDS[command](cfg)
     except (ConfigError, DegenerateCouplingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

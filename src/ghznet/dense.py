@@ -195,14 +195,6 @@ def rotation_on(n: int, k: int, axis: str, angle: float) -> DenseOperator:
     return DenseOperator(1 << n, _embed_single(n, k, single_qubit_rotation(axis, angle)))
 
 
-def collective_rotation_operator(n: int, axis: str, angle: float) -> DenseOperator:
-    u = single_qubit_rotation(axis, angle)
-    out = np.array([[1.0 + 0.0j]])
-    for _ in range(n):
-        out = np.kron(out, u)
-    return DenseOperator(1 << n, out)
-
-
 def evolve(state: StateVector, h: DenseOperator, t: float) -> StateVector:
     """Return exp(-i h t)|state> via eigendecomposition of the Hermitian h."""
     if not h.hermitian:

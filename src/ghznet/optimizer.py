@@ -2,19 +2,21 @@
 
 When the pairwise couplings deviate from uniformity the compiled pulse
 sequence no longer lands exactly on the GHZ state.  This module optimizes
-the entangling time together with the final rotation angles (at most N+1
-free parameters; the initial collective y pi/2 preparation is always kept
+the entangling time together with final rotation angles (at most N+1
+free parameters; :data:`~ghznet.protocol.PREPARATION` is always kept
 fixed) by derivative-free simplex descent with deterministic multistarts.
 The ideal parameter point is always seeded as start 0, so the optimized
 fidelity can never fall below the uncorrected one.
 
-Three parameterizations are provided:
+A problem is the uncorrected plan plus ``free``, the indices of its final
+pulses whose angles the search sets; every other pulse, including the
+strong-ZZ correction, keeps its compiled value.  Three families:
 
-* odd family: entangling time plus a per-qubit final x angle;
-* even restricted: entangling time plus the final z angle on qubit 1 only
-  (both collective y pulses stay at pi/2);
-* even full: entangling time plus a per-qubit angle for the second y pulse
-  (the qubit-1 z rotation stays at its compiled value).
+* odd: the per-qubit plan, free = every final x pulse;
+* even restricted: the compiled plan, free = the qubit-1 z pulse only
+  (the collective y pulse stays at pi/2);
+* even full: the per-qubit plan, free = the N final y pulses (the qubit-1
+  z pulse stays at its compiled value).
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from scipy.optimize import minimize
 from .couplings import CouplingGraph, perturbed_n3
 from .dense import StateVector, fidelity_frobenius
 from .protocol import (
-    GlobalPhase,
     HamiltonianPropagator,
     ProtocolPlan,
+    Pulse,
     compile_plan,
     entangling_time,
     execute,
@@ -44,13 +46,14 @@ SWEEP_COLUMNS = ("eta13", "t_ratio", "alpha1", "alpha2", "alpha3", "F_opt", "F_u
 class OptimizationProblem:
     """A pulse-parameter search space over one coupling graph.
 
-    ``ideal_params`` is the compiled (uncorrected) parameter point; the
-    first entry is always the entangling time, the rest are rotation
-    angles whose meaning depends on ``mode``.
+    A parameter vector is the entangling time followed by the angles of
+    the final pulses ``plan.finals[i]`` for ``i`` in ``free``;
+    ``ideal_params`` is the point that reproduces ``plan`` unchanged.
     """
 
     graph: CouplingGraph
-    mode: str  # "odd_x" | "even_z1" | "even_full"
+    plan: ProtocolPlan
+    free: tuple[int, ...]
     ideal_params: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -62,29 +65,12 @@ class OptimizationProblem:
 
     def plan_for(self, params: np.ndarray) -> ProtocolPlan:
         """Pulse sequence realizing the given parameter vector."""
-        n = self.n_qubits
-        base = compile_plan(n, self.graph.g_ref, self.graph.gz_ref)
-        t = float(params[0])
-        if self.mode == "odd_x":
-            finals = tuple((k, "x", float(params[k])) for k in range(1, n + 1))
-        elif self.mode == "even_z1":
-            finals = tuple((k, "y", np.pi / 2) for k in range(1, n + 1)) + (
-                (1, "z", float(params[1])),
-            )
-        elif self.mode == "even_full":
-            z1 = base.finals[n][2]
-            finals = tuple((k, "y", float(params[k])) for k in range(1, n + 1)) + (
-                (1, "z", z1),
-            )
-        else:
-            raise ValueError(f"unknown problem mode {self.mode!r}")
+        finals = list(self.plan.finals)
+        for i, angle in zip(self.free, params[1:]):
+            finals[i] = Pulse(finals[i].axis, float(angle), finals[i].qubit)
         return ProtocolPlan(
-            n_qubits=n,
-            initial=base.initial,
-            entangle_duration=t,
-            finals=finals,
-            expected_phase=base.expected_phase,
-            parity=base.parity,
+            self.plan.n_qubits, float(params[0]), tuple(finals),
+            self.plan.expected_phase,
         )
 
     def run(self, params: np.ndarray) -> StateVector:
@@ -114,16 +100,17 @@ class OptimizationResult:
 
 
 def _make_problem(
-    graph: CouplingGraph, mode: str, n_angles: int, angle_ideal: np.ndarray,
+    graph: CouplingGraph, plan: ProtocolPlan, free: tuple[int, ...],
     angle_upper: float,
 ) -> OptimizationProblem:
-    t_ideal = entangling_time(graph.g_ref, graph.gz_ref)
-    ideal_params = np.concatenate([[t_ideal], angle_ideal])
-    lower = np.concatenate([[0.5 * t_ideal], np.zeros(n_angles)])
-    upper = np.concatenate([[1.5 * t_ideal], np.full(n_angles, angle_upper)])
+    t_ideal = plan.entangle_duration
+    ideal_params = np.array([t_ideal] + [plan.finals[i].angle for i in free])
+    lower = np.concatenate([[0.5 * t_ideal], np.zeros(len(free))])
+    upper = np.concatenate([[1.5 * t_ideal], np.full(len(free), angle_upper)])
     return OptimizationProblem(
         graph=graph,
-        mode=mode,
+        plan=plan,
+        free=free,
         ideal_params=ideal_params,
         lower=lower,
         upper=upper,
@@ -131,12 +118,17 @@ def _make_problem(
     )
 
 
+def _compiled(graph: CouplingGraph, parity: str) -> ProtocolPlan:
+    plan = compile_plan(graph.n_qubits, graph.g_ref, graph.gz_ref)
+    if plan.parity != parity:
+        raise ValueError(f"{parity}-family problem requires an {parity} qubit count")
+    return plan
+
+
 def problem_odd(graph: CouplingGraph) -> OptimizationProblem:
     """Entangling time + final x angle on each qubit (odd-family sequence)."""
-    n = graph.n_qubits
-    if n % 2 != 1:
-        raise ValueError("odd-family problem requires an odd qubit count")
-    return _make_problem(graph, "odd_x", n, np.full(n, np.pi / 2), np.pi)
+    plan = _compiled(graph, "odd").per_qubit()
+    return _make_problem(graph, plan, tuple(range(graph.n_qubits)), np.pi)
 
 
 def problem_even_restricted(graph: CouplingGraph) -> OptimizationProblem:
@@ -145,20 +137,14 @@ def problem_even_restricted(graph: CouplingGraph) -> OptimizationProblem:
     The z angle may exceed pi at the ideal point (e.g. 3*pi/2 for four
     qubits), so its bound is a full turn.
     """
-    n = graph.n_qubits
-    if n % 2 != 0:
-        raise ValueError("even-family problem requires an even qubit count")
-    base = compile_plan(n, graph.g_ref, graph.gz_ref)
-    z1 = base.finals[n][2]
-    return _make_problem(graph, "even_z1", 1, np.array([z1]), 2 * np.pi)
+    # compiled even finals: collective y pi/2, then the qubit-1 z pulse
+    return _make_problem(graph, _compiled(graph, "even"), (1,), 2 * np.pi)
 
 
 def problem_even_full(graph: CouplingGraph) -> OptimizationProblem:
     """Entangling time + per-qubit angle for the second collective y pulse."""
-    n = graph.n_qubits
-    if n % 2 != 0:
-        raise ValueError("even-family problem requires an even qubit count")
-    return _make_problem(graph, "even_full", n, np.full(n, np.pi / 2), np.pi)
+    plan = _compiled(graph, "even").per_qubit()
+    return _make_problem(graph, plan, tuple(range(graph.n_qubits)), np.pi)
 
 
 def objective(problem: OptimizationProblem, params: np.ndarray) -> float:

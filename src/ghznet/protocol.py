@@ -1,16 +1,20 @@
 """Pulse-sequence compiler and executor for single-step GHZ generation.
 
-A plan is: collective y pi/2 preparation, free evolution under the exchange
-network for t = pi / (2|g - gz|), then final rotations.  Odd qubit counts
-finish with an x pi/2 on every qubit; even counts repeat the y pi/2 on
-every qubit and add a z rotation by theta(N) = (pi/2)(2 + (-1)^(N/2)) on
-qubit 1.  When the ZZ coupling exceeds the XY coupling (gz > g) the even
-family needs an extra z pi/2 on two qubits, which also flips the overall
-sign of the expected global phase.
+Every protocol has one shape: the collective y pi/2 :data:`PREPARATION`,
+free evolution under the exchange network for t = pi / (2|g - gz|), then
+an ordered tuple of final :class:`Pulse` rotations, each on one qubit or
+(``qubit=None``) the same on every qubit.  Odd qubit counts finish with a
+collective x pi/2; even counts repeat the collective y pi/2 and add a z
+rotation by theta(N) = (pi/2)(2 + (-1)^(N/2)) on qubit 1.  When the ZZ
+coupling exceeds the XY coupling (gz > g) the even family needs an extra
+z pi/2 on two qubits, which also flips the overall sign of the expected
+global phase.  Correcting imperfect couplings changes only t and some
+final angles, never the shape.
 
-Executors: the dense engine simulates the full 2^N statevector; the
-symmetric engine runs collective pulses in the (N+1)-dimensional W basis
-and only falls back to a dense tail for non-collective final rotations.
+Both engines read the plan directly: the dense engine simulates the full
+2^N statevector pulse by pulse; the symmetric engine runs the plan in the
+(N+1)-dimensional W basis up to its first single-qubit pulse and hands
+the rest to the dense engine.
 
 The dense engine's free evolution e^{-iHt} has two paths (see
 :class:`HamiltonianPropagator`).  The factorized path diagonalizes H once
@@ -24,7 +28,7 @@ that is applied a second time up to N = 10, and never above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import identity
@@ -63,8 +67,6 @@ MAX_CHEBYSHEV_ORDER = 10_000
 CHEBYSHEV_TAIL = 1e-17
 # allowed drift of the norm across one Chebyshev propagation
 CHEBYSHEV_NORM_ATOL = 1e-10
-
-Rotation = tuple[int, str, float]  # (qubit index, axis, angle)
 
 
 class DegenerateCouplingError(ValueError):
@@ -112,24 +114,53 @@ def theta(n: int) -> float:
 
 
 @dataclass(frozen=True)
+class Pulse:
+    """exp(-i (angle/2) sigma_axis) on ``qubit`` (1-based), or on every
+    qubit when ``qubit`` is None."""
+
+    axis: str
+    angle: float
+    qubit: int | None = None
+
+
+# the collective pulse that turns |0...0> into the uniform superposition
+PREPARATION = Pulse("y", np.pi / 2)
+
+
+@dataclass(frozen=True)
 class ProtocolPlan:
-    """Compiled pulse sequence with its expected global phase."""
+    """:data:`PREPARATION`, free evolution, final pulses; and the global
+    phase the sequence is expected to leave on the GHZ state."""
 
     n_qubits: int
-    initial: tuple[str, float]
     entangle_duration: float
-    finals: tuple[Rotation, ...]
+    finals: tuple[Pulse, ...]
     expected_phase: GlobalPhase
-    parity: str
+
+    @property
+    def parity(self) -> str:
+        return "odd" if self.n_qubits % 2 else "even"
+
+    def per_qubit(self) -> ProtocolPlan:
+        """The same plan with each collective pulse split into one pulse per
+        qubit, qubits in ascending order."""
+        qubits = range(1, self.n_qubits + 1)
+        finals = tuple(
+            Pulse(p.axis, p.angle, q)
+            for p in self.finals
+            for q in (qubits if p.qubit is None else (p.qubit,))
+        )
+        return replace(self, finals=finals)
 
     def to_dict(self) -> dict:
         return {
             "n_qubits": self.n_qubits,
             "parity": self.parity,
-            "initial": {"axis": self.initial[0], "angle": self.initial[1]},
+            "initial": {"axis": PREPARATION.axis, "angle": PREPARATION.angle},
             "entangle_duration": self.entangle_duration,
             "finals": [
-                {"qubit": q, "axis": a, "angle": ang} for q, a, ang in self.finals
+                {"qubit": p.qubit, "axis": p.axis, "angle": p.angle}
+                for p in self.per_qubit().finals
             ],
             "expected_phase": {
                 "real": self.expected_phase.phase.real,
@@ -156,29 +187,23 @@ def compile_plan(n: int, g: float, gz: float) -> ProtocolPlan:
         raise ValueError("need at least 2 qubits")
     t = entangling_time(g, gz)
     branch_phase = np.exp(-1j * ground_energy(n, gz) * t)
-    finals: list[Rotation]
     if n % 2 == 1:
-        parity = "odd"
-        finals = [(k, "x", np.pi / 2) for k in range(1, n + 1)]
+        finals = [Pulse("x", np.pi / 2)]
         family = np.exp(1j * (-1) ** ((n - 3) // 2) * np.pi / 4)
         phase = branch_phase * family
     else:
-        parity = "even"
-        finals = [(k, "y", np.pi / 2) for k in range(1, n + 1)]
-        finals.append((1, "z", theta(n)))
+        finals = [Pulse("y", np.pi / 2), Pulse("z", theta(n), 1)]
         if g < gz:
             correction_qubits = (1, 2) if n == 2 else (2, 3)
-            finals.extend((q, "z", np.pi / 2) for q in correction_qubits)
+            finals.extend(Pulse("z", np.pi / 2, q) for q in correction_qubits)
             phase = -branch_phase
         else:
             phase = branch_phase * np.exp(1j * (n // 2 - 1) * np.pi)
     return ProtocolPlan(
         n_qubits=n,
-        initial=("y", np.pi / 2),
         entangle_duration=t,
         finals=tuple(finals),
         expected_phase=GlobalPhase(phase),
-        parity=parity,
     )
 
 
@@ -307,45 +332,46 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
         span *= 2.0
 
 
-def _split_collective(
-    finals: tuple[Rotation, ...], n: int
-) -> tuple[list[tuple[str, float]], tuple[Rotation, ...]]:
-    """Leading blocks of n identical per-qubit rotations, plus the remainder."""
-    groups: list[tuple[str, float]] = []
-    i = 0
-    while i + n <= len(finals):
-        chunk = finals[i : i + n]
-        axes = {a for _, a, _ in chunk}
-        angles = {ang for _, _, ang in chunk}
-        qubits = sorted(q for q, _, _ in chunk)
-        if len(axes) == 1 and len(angles) == 1 and qubits == list(range(1, n + 1)):
-            groups.append((axes.pop(), angles.pop()))
-            i += n
+def _run_w_basis(
+    plan: ProtocolPlan, g: float, gz: float
+) -> tuple[WBasisState, tuple[Pulse, ...]]:
+    """Run the plan in the W basis up to its first single-qubit pulse.
+
+    Returns the state and the final pulses left unapplied.
+    """
+    n = plan.n_qubits
+    coeffs = np.zeros(n + 1, dtype=complex)
+    coeffs[0] = 1.0
+    w = collective_rotation(WBasisState(n, coeffs), PREPARATION.axis, PREPARATION.angle)
+    w = entangle_phases(w, analytic_eigenvalues(n, g, gz), plan.entangle_duration)
+    finals = plan.finals
+    while finals and finals[0].qubit is None:
+        w = collective_rotation(w, finals[0].axis, finals[0].angle)
+        finals = finals[1:]
+    return w, finals
+
+
+def _apply_pulses(psi: StateVector, pulses: tuple[Pulse, ...]) -> StateVector:
+    for p in pulses:
+        if p.qubit is None:
+            psi = apply_collective_rotation(psi, p.axis, p.angle)
         else:
-            break
-    return groups, finals[i:]
+            psi = apply_rotation(psi, p.qubit, p.axis, p.angle)
+    return psi
 
 
 def execute_symmetric(plan: ProtocolPlan, g: float, gz: float) -> WBasisState:
     """Run a fully collective plan in the W basis (any qubit count).
 
-    Raises :class:`EngineCapabilityError` when the plan contains
-    non-collective final rotations.
+    Raises :class:`EngineCapabilityError` when the plan contains a
+    single-qubit final pulse.
     """
-    n = plan.n_qubits
-    groups, remainder = _split_collective(plan.finals, n)
-    if remainder:
+    w, rest = _run_w_basis(plan, g, gz)
+    if rest:
         raise EngineCapabilityError(
-            "plan contains non-collective final rotations; the pure W-basis "
+            "plan contains single-qubit final pulses; the pure W-basis "
             "engine only handles identical rotations on every qubit"
         )
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    w = WBasisState(n, coeffs)
-    w = collective_rotation(w, plan.initial[0], plan.initial[1])
-    w = entangle_phases(w, analytic_eigenvalues(n, g, gz), plan.entangle_duration)
-    for axis, angle in groups:
-        w = collective_rotation(w, axis, angle)
     return w
 
 
@@ -358,8 +384,8 @@ def execute(
     """Apply the compiled sequence to |0...0> and return the final state.
 
     The symmetric engine requires an ideal (uniform) graph; it runs the
-    collective part in the W basis and finishes any per-qubit tail with
-    the dense engine.
+    plan in the W basis up to the first single-qubit pulse and finishes
+    the rest with the dense engine.
     """
     n = plan.n_qubits
     if graph.n_qubits != n:
@@ -373,14 +399,11 @@ def execute(
             )
         if propagator is None:
             propagator = HamiltonianPropagator(graph)
-        psi = all_zeros(n)
-        psi = apply_collective_rotation(psi, plan.initial[0], plan.initial[1])
+        psi = _apply_pulses(all_zeros(n), (PREPARATION,))
         psi = StateVector(
             n, propagator.propagate(psi.amplitudes, plan.entangle_duration)
         )
-        for q, axis, angle in plan.finals:
-            psi = apply_rotation(psi, q, axis, angle)
-        return psi
+        return _apply_pulses(psi, plan.finals)
     if engine == "symmetric":
         if not graph.is_ideal():
             raise EngineCapabilityError(
@@ -391,24 +414,8 @@ def execute(
                 f"returning a dense state requires n <= {MAX_DENSE_QUBITS}; "
                 "use execute_symmetric for larger collective-only runs"
             )
-        groups, remainder = _split_collective(plan.finals, n)
-        collective_plan = ProtocolPlan(
-            n_qubits=n,
-            initial=plan.initial,
-            entangle_duration=plan.entangle_duration,
-            finals=tuple(
-                (q, axis, angle)
-                for axis, angle in groups
-                for q in range(1, n + 1)
-            ),
-            expected_phase=plan.expected_phase,
-            parity=plan.parity,
-        )
-        w = execute_symmetric(collective_plan, graph.g_ref, graph.gz_ref)
-        psi = embed(w)
-        for q, axis, angle in remainder:
-            psi = apply_rotation(psi, q, axis, angle)
-        return psi
+        w, rest = _run_w_basis(plan, graph.g_ref, graph.gz_ref)
+        return _apply_pulses(embed(w), rest)
     raise ValueError(f"engine must be 'dense' or 'symmetric', got {engine!r}")
 
 

@@ -10,6 +10,8 @@ from ghznet.cli import (
     EXIT_INPUT,
     EXIT_NUMERICAL,
     EXIT_OK,
+    SCHEMAS,
+    _build_parser,
     dump_config,
     load_config,
     main,
@@ -33,6 +35,17 @@ class TestConfig:
         path.write_text(json.dumps({"bogus": 1}))
         with pytest.raises(ConfigError):
             load_config("eigs", str(path), {})
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", float("nan"), float("inf")])
+    def test_non_finite_float_rejected(self, raw):
+        with pytest.raises(ConfigError):
+            load_config("protocol", None, {"g": raw})
+
+    def test_non_finite_float_in_file_rejected(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{"gz": NaN}')
+        with pytest.raises(ConfigError):
+            load_config("protocol", str(path), {})
 
     def test_round_trip(self, tmp_path):
         cfg = load_config("sweep", None, {"seed": 7})
@@ -116,8 +129,46 @@ class TestCommands:
         assert main(["star2delta", "2.5", "5"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "0.5"
 
+    def test_star2delta_non_integer_n_is_input_error(self, capsys):
+        assert main(["star2delta", "3.0", "3.7"]) == EXIT_INPUT
+
+    def test_star2delta_flags(self, capsys):
+        assert main(["star2delta", "--c-star", "2.5", "--n", "5"]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "0.5"
+
     def test_star2delta_nonpositive(self, capsys):
         assert main(["star2delta", "--", "-1.0", "3"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "argv", [["--n", "7", "--g", "nan"], ["--n", "3", "--gz", "inf"]]
+    )
+    def test_protocol_non_finite_coupling_is_input_error(self, argv, capsys):
+        assert main(["protocol", *argv]) == EXIT_INPUT
+        assert capsys.readouterr().out == ""
+
+    def test_protocol_unknown_engine_is_input_error(self, capsys):
+        assert main(["protocol", "--n", "3", "--engine", "sparse"]) == EXIT_INPUT
+        assert capsys.readouterr().out == ""
+
+    def test_flag_prefix_is_not_a_key(self, capsys):
+        # --g is a prefix of --g12 but no key of sweep
+        assert main(["sweep", "--g", "1"]) == EXIT_INPUT
+
+    def test_every_config_key_has_a_flag(self):
+        parser = _build_parser()
+        for command, schema in SCHEMAS.items():
+            for key, (_, default) in schema.items():
+                flag = "--n" if key == "n_qubits" else "--" + key.replace("_", "-")
+                args = parser.parse_args([command, flag, str(default)])
+                assert getattr(args, key) == default
+
+    def test_optimize_flags_match_config(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"restarts": 2, "eta13": 0.03}))
+        assert main(["optimize", "--eta13", "0.03", "--restarts", "2", "--out", str(a)]) == EXIT_OK
+        assert main(["optimize", "--config", str(cfg), "--out", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
 
     def test_unknown_command_is_input_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_INPUT

@@ -42,6 +42,29 @@ class TestProblems:
         with pytest.raises(ValueError):
             problem_even_restricted(ideal(3, 1, 0.05))
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_strong_zz_correction_stays_fixed(self, n):
+        # gz > g compiles two extra z pi/2 pulses; neither family frees
+        # them, and both must keep them at the ideal point
+        graph = ideal(n, 0.5, 1.0)
+        restricted = problem_even_restricted(graph)
+        full = problem_even_full(graph)
+        assert restricted.ideal_params.shape == (2,)
+        assert full.ideal_params.shape == (n + 1,)
+        assert uncorrected_fidelity(restricted) >= 1 - 1e-10
+        assert uncorrected_fidelity(full) >= 1 - 1e-10
+
+    def test_plan_for_sets_only_free_angles(self):
+        prob = problem_even_full(ideal(4, 1, 0.05))
+        params = prob.ideal_params.copy()
+        params[0] *= 1.1
+        params[2] = 1.0
+        plan = prob.plan_for(params)
+        assert plan.entangle_duration == params[0]
+        assert [p.angle for p in plan.finals] == [np.pi / 2, 1.0, np.pi / 2, np.pi / 2, theta(4)]
+        assert [p.qubit for p in plan.finals] == [1, 2, 3, 4, 1]
+        assert prob.plan_for(prob.ideal_params) == prob.plan
+
     def test_restricted_ideal_point(self):
         prob = problem_even_restricted(ideal(4, 1, 0.05))
         assert prob.ideal_params[0] == pytest.approx(entangling_time(1, 0.05))

@@ -15,10 +15,13 @@ from ghznet.dense import (
     fidelity_frobenius,
 )
 from ghznet.protocol import (
+    PREPARATION,
     DegenerateCouplingError,
     EngineCapabilityError,
     HamiltonianPropagator,
     PropagationError,
+    ProtocolPlan,
+    Pulse,
     compile_plan,
     entangling_time,
     execute,
@@ -59,15 +62,18 @@ class TestCompile:
     def test_odd_family_shape(self):
         plan = compile_plan(3, 1, 0)
         assert plan.parity == "odd"
-        assert plan.initial == ("y", np.pi / 2)
-        assert plan.finals == tuple((k, "x", np.pi / 2) for k in (1, 2, 3))
+        assert PREPARATION == Pulse("y", np.pi / 2)
+        assert plan.finals == (Pulse("x", np.pi / 2),)
+        assert plan.per_qubit().finals == tuple(Pulse("x", np.pi / 2, k) for k in (1, 2, 3))
         assert plan.expected_phase.phase == pytest.approx(np.exp(1j * np.pi / 4))
 
     def test_even_family_shape(self):
         plan = compile_plan(4, 1, 0)
         assert plan.parity == "even"
-        assert plan.finals[:4] == tuple((k, "y", np.pi / 2) for k in (1, 2, 3, 4))
-        assert plan.finals[4] == (1, "z", theta(4))
+        assert plan.finals == (Pulse("y", np.pi / 2), Pulse("z", theta(4), 1))
+        finals = plan.per_qubit().finals
+        assert finals[:4] == tuple(Pulse("y", np.pi / 2, k) for k in (1, 2, 3, 4))
+        assert finals[4] == Pulse("z", theta(4), 1)
         assert plan.expected_phase.phase == pytest.approx(np.exp(1j * np.pi))
 
     def test_phase_includes_ground_energy(self):
@@ -78,13 +84,24 @@ class TestCompile:
 
     def test_strong_zz_even_correction(self):
         plan = compile_plan(4, 0.5, 1.0)
-        assert plan.finals[-2:] == ((2, "z", np.pi / 2), (3, "z", np.pi / 2))
+        assert plan.finals[-2:] == (Pulse("z", np.pi / 2, 2), Pulse("z", np.pi / 2, 3))
         plan2 = compile_plan(2, 0.5, 1.0)
-        assert plan2.finals[-2:] == ((1, "z", np.pi / 2), (2, "z", np.pi / 2))
+        assert plan2.finals[-2:] == (Pulse("z", np.pi / 2, 1), Pulse("z", np.pi / 2, 2))
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateCouplingError):
             compile_plan(4, 1.0, 1.0)
+
+    def test_per_qubit_keeps_single_qubit_pulses_in_order(self):
+        plan = compile_plan(2, 0.5, 1.0)
+        assert plan.per_qubit().finals == (
+            Pulse("y", np.pi / 2, 1),
+            Pulse("y", np.pi / 2, 2),
+            Pulse("z", theta(2), 1),
+            Pulse("z", np.pi / 2, 1),
+            Pulse("z", np.pi / 2, 2),
+        )
+        assert plan.per_qubit().per_qubit() == plan.per_qubit()
 
     def test_to_dict_round_trip_fields(self):
         d = compile_plan(4, 1, 0.05).to_dict()
@@ -137,6 +154,32 @@ class TestExecuteAndVerify:
         graph = perturbed_n3(1.0, 0.02, 0.06, 0.05)
         with pytest.raises(EngineCapabilityError):
             execute(plan, graph, engine="symmetric")
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_collective_and_per_qubit_plans_agree(self, n):
+        # one collective pulse and its per-qubit split are the same unitary
+        plan = compile_plan(n, 1, 0.05)
+        graph = ideal(n, 1, 0.05)
+        a = execute(plan, graph)
+        b = execute(plan.per_qubit(), graph)
+        c = execute(plan.per_qubit(), graph, engine="symmetric")
+        assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert np.linalg.norm(a.amplitudes - c.amplitudes) <= 1e-10
+
+    def test_symmetric_engine_runs_collective_pulses_after_entangling(self):
+        # two collective finals then a single-qubit one: the W-basis part
+        # must take both collective pulses, the dense tail the last one
+        n = 4
+        plan = ProtocolPlan(
+            n, 0.7, (Pulse("x", 0.3), Pulse("z", 1.1), Pulse("y", 0.4, 2)),
+            compile_plan(n, 1, 0.05).expected_phase,
+        )
+        graph = ideal(n, 1, 0.05)
+        a = execute(plan, graph, engine="dense")
+        b = execute(plan, graph, engine="symmetric")
+        assert np.linalg.norm(a.amplitudes - b.amplitudes) <= 1e-10
+        with pytest.raises(EngineCapabilityError):
+            execute_symmetric(plan, 1, 0.05)
 
     def test_pure_symmetric_rejects_per_qubit_finals(self):
         plan = compile_plan(4, 1, 0)  # even family has the qubit-1 z rotation
