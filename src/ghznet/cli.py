@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from .couplings import ideal, perturbed_n3, star_to_delta, to_dense
-from .dense import StateVector
+from .dense import NoGlobalPhaseError, StateVector
 from .optimizer import (
     OptimizerConfig,
     SWEEP_COLUMNS,
@@ -43,6 +43,7 @@ from .optimizer import (
 from .protocol import (
     DegenerateCouplingError,
     compile_plan,
+    entangling_time,
     ghz_target,
     verify,
 )
@@ -110,7 +111,8 @@ def load_config(command: str, path: str | None, overrides: dict) -> dict:
     """Merge defaults, config-file values, and flag overrides for a command.
 
     Unknown keys in the file or the overrides are rejected; values are
-    coerced to the schema's types, and NaN or infinite floats are rejected.
+    coerced to the schema's types, and NaN or infinite floats, booleans
+    and non-integral numbers for integer keys are rejected.
     The result serializes back to JSON and reparses to itself.
     """
     schema = SCHEMAS[command]
@@ -128,6 +130,11 @@ def load_config(command: str, path: str | None, overrides: dict) -> dict:
             if key not in schema:
                 raise ConfigError(f"unknown config key {key!r} for command {command!r}")
             typ = schema[key][0]
+            # int(3.7) truncates and int(True) is 1: neither is a count
+            if typ is int and (
+                isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer())
+            ):
+                raise ConfigError(f"config key {key!r}: {raw!r} is not an integer")
             try:
                 values[key] = typ(raw)
             except (TypeError, ValueError) as exc:
@@ -205,7 +212,7 @@ def cmd_optimize(cfg: dict) -> int:
     )
     result = optimize(problem, opt_cfg)
     f_unc = uncorrected_fidelity(problem)
-    t_ref = np.pi / (2 * abs(graph.g_ref - graph.gz_ref))
+    t_ref = entangling_time(graph.g_ref, graph.gz_ref)
     params = np.concatenate([[result.t_opt], result.angles_opt])
     psi = problem.run(params)
     # align residual global phase the same way the objective does
@@ -301,12 +308,14 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(command, path, overrides)
         return _COMMANDS[command](cfg)
+    # before the ValueError clause: NoGlobalPhaseError and LinAlgError are
+    # ValueErrors, but they mean the numerics failed, not the input
+    except (NoGlobalPhaseError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, DegenerateCouplingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -6,19 +6,11 @@ Computational basis states are indexed as binary integers with qubit 1 in
 the most significant position, so ``|x_1 x_2 ... x_N>`` sits at index
 ``sum_k x_k 2^(N-k)``.
 
-Two Pauli triples coexist on purpose:
-
-* the *ladder* triple returned by :func:`pauli_on`, fixed by
-  ``sigma_z|0> = -|0>`` and ``S_+|0> = |1>`` so that the collective
-  raising/lowering algebra holds verbatim (``sigma_x sigma_y = i sigma_z``
-  cyclically);
-* the *rotation* triple returned by :func:`rotation_generator`, which is the
-  standard computational-basis convention (``z`` diagonal ``(+1, -1)``),
-  used for all pulse rotations so that a y-rotation by pi/2 maps ``|0>`` to
-  ``(|0> + |1>)/sqrt(2)``.
-
-The two differ only by the sign of y and z; any Hamiltonian quadratic in
-the Paulis is identical under either triple.
+One Pauli convention is used throughout: the standard computational-basis
+triple returned by :func:`rotation_generator` (``z`` diagonal ``(+1, -1)``,
+``sigma_x sigma_y = i sigma_z`` cyclically), so that a y-rotation by pi/2
+maps ``|0>`` to ``(|0> + |1>)/sqrt(2)``.  :func:`pauli_on` embeds the same
+matrices on one qubit of an N-qubit register.
 """
 
 from __future__ import annotations
@@ -33,16 +25,11 @@ NORM_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-12
 PHASE_OVERLAP_ATOL = 1e-6
 
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-# ladder convention: sigma_z|0> = -|0>, sigma_x sigma_y = i sigma_z
-_SIGMA_Y_LADDER = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
-_SIGMA_Z_LADDER = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
-# rotation convention: standard computational-basis Paulis
-_SIGMA_Y_ROT = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SIGMA_Z_ROT = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-_LADDER_TRIPLE = {"x": _SIGMA_X, "y": _SIGMA_Y_LADDER, "z": _SIGMA_Z_LADDER}
-_ROTATION_TRIPLE = {"x": _SIGMA_X, "y": _SIGMA_Y_ROT, "z": _SIGMA_Z_ROT}
+_PAULIS = {
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
 
 
 class NoGlobalPhaseError(ValueError):
@@ -73,9 +60,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def is_normalized(self, atol: float = NORM_ATOL) -> bool:
-        return abs(self.norm() - 1.0) <= atol
 
 
 @dataclass(frozen=True)
@@ -142,27 +126,25 @@ def _embed_single(n: int, k: int, u: np.ndarray) -> np.ndarray:
 
 
 def pauli_on(n: int, k: int, axis: str) -> DenseOperator:
-    """Pauli operator on qubit ``k`` (ladder convention), identity elsewhere.
+    """Pauli operator on qubit ``k``, identity elsewhere.
 
-    ``sigma_z|0> = -|0>`` and ``sigma_z|1> = +|1>``; the triple obeys
+    ``sigma_z|0> = +|0>`` and ``sigma_z|1> = -|1>``; the triple obeys
     ``sigma_x sigma_y = i sigma_z`` and cyclic permutations.
     """
     if not 1 <= k <= n:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
-    if axis not in _LADDER_TRIPLE:
-        raise ValueError(f"axis must be x, y or z, got {axis!r}")
-    return DenseOperator(1 << n, _embed_single(n, k, _LADDER_TRIPLE[axis]), hermitian=True)
+    return DenseOperator(1 << n, _embed_single(n, k, rotation_generator(axis)), hermitian=True)
 
 
 def rotation_generator(axis: str) -> np.ndarray:
     """2x2 rotation generator (standard computational-basis Pauli)."""
-    if axis not in _ROTATION_TRIPLE:
+    if axis not in _PAULIS:
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
-    return _ROTATION_TRIPLE[axis]
+    return _PAULIS[axis]
 
 
 def single_qubit_rotation(axis: str, angle: float) -> np.ndarray:
-    """2x2 unitary exp(-i (angle/2) sigma_axis), rotation convention."""
+    """2x2 unitary exp(-i (angle/2) sigma_axis)."""
     g = rotation_generator(axis)
     return np.cos(angle / 2) * np.eye(2, dtype=complex) - 1j * np.sin(angle / 2) * g
 
@@ -191,7 +173,7 @@ def apply_collective_rotation(state: StateVector, axis: str, angle: float) -> St
 
 
 def rotation_on(n: int, k: int, axis: str, angle: float) -> DenseOperator:
-    """Dense single-qubit rotation operator (rotation convention)."""
+    """Dense single-qubit rotation operator."""
     return DenseOperator(1 << n, _embed_single(n, k, single_qubit_rotation(axis, angle)))
 
 

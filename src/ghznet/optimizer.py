@@ -261,7 +261,8 @@ def sweep(
                 converged=result.converged,
                 error="",
             )
-        except Exception as exc:  # failed rows are reported, not dropped
+        # failed rows are reported, not dropped; any other error is a bug
+        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
             row.update(
                 t_ratio=np.nan, alpha1=np.nan, alpha2=np.nan, alpha3=np.nan,
                 F_opt=np.nan, F_uncorrected=np.nan, converged=False,

@@ -16,14 +16,13 @@ Both engines read the plan directly: the dense engine simulates the full
 (N+1)-dimensional W basis up to its first single-qubit pulse and hands
 the rest to the dense engine.
 
-The dense engine's free evolution e^{-iHt} has two paths (see
-:class:`HamiltonianPropagator`).  The factorized path diagonalizes H once
-and makes every later apply a pair of matrix products; the matrix-free
-path expands e^{-iHt} in Chebyshev polynomials of the real sparse H and
-costs a few hundred sparse products per apply.  Factorizing costs O(8^N),
-so it is done eagerly only where it is cheaper than one expansion
-(N <= 6, which covers every optimizer problem), lazily for a propagator
-that is applied a second time up to N = 10, and never above.
+The dense engine's free evolution e^{-iHt} has two paths, chosen by qubit
+count alone (see :class:`HamiltonianPropagator`).  Up to N = 6, which
+covers every optimizer problem, H is diagonalized once and every apply is
+a pair of matrix products; above, e^{-iHt} is expanded in Chebyshev
+polynomials of the real sparse H at a few hundred sparse products per
+apply.  Diagonalizing costs O(8^N), and no caller applies a propagator
+above N = 6 more than once, so it would never pay for itself there.
 """
 
 from __future__ import annotations
@@ -53,12 +52,9 @@ from .symmetric import (
     entangle_phases,
 )
 
-# largest qubit count factorized when the propagator is built: up to here
-# one complex eigh is cheaper than a single Chebyshev apply
-EAGER_EIGH_MAX_QUBITS = 6
-# largest qubit count factorized at all, on a propagator's second apply;
-# at N = 10 the eigh pays for itself after about 140 applies
-EIGH_MAX_QUBITS = 10
+# largest qubit count diagonalized: up to here one complex eigh is
+# cheaper than a single Chebyshev apply
+EIGH_MAX_QUBITS = 6
 # longest Chebyshev expansion attempted, in units of r|t| (the scaled
 # spectrum's radius times the time); only near-degenerate couplings
 # g -> gz, whose entangling time diverges, come close
@@ -210,39 +206,33 @@ def compile_plan(n: int, g: float, gz: float) -> ProtocolPlan:
 class HamiltonianPropagator:
     """Reusable e^{-iHt} applier for one coupling graph.
 
-    Two paths, chosen by qubit count and by how often the propagator is
-    applied:
+    Two paths, chosen by qubit count:
 
-    * factorized -- the full complex eigendecomposition of H, after which
-      each apply is two dense products.  It is built eagerly for
-      N <= ``EAGER_EIGH_MAX_QUBITS``, where it beats even a single
-      matrix-free apply, and lazily on the second ``propagate`` call for
-      N <= ``EIGH_MAX_QUBITS``, since reuse (an optimization loop) soon
-      repays its O(8^N) cost;
-    * matrix-free -- H is stored as real CSR shifted and scaled to
+    * factorized (N <= ``EIGH_MAX_QUBITS``) -- the full complex
+      eigendecomposition of H, built with the propagator, after which each
+      apply is two dense products;
+    * matrix-free (above) -- H is stored as real CSR shifted and scaled to
       [-1, 1] by its Gershgorin bounds (centre c, radius r), and
       e^{-iHt} psi = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k(H~) psi
       (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)).  psi is
       carried as a real (2, dim) array of its real and imaginary parts, so
       each term is two real sparse matrix-vector products.
 
-    The expansion length grows as r|t|.  Beyond ``MAX_CHEBYSHEV_ORDER`` the
-    propagator factorizes instead when N <= ``EIGH_MAX_QUBITS`` and raises
-    :class:`PropagationError` otherwise; it raises the same error if a
-    matrix-free apply changes the norm by more than ``CHEBYSHEV_NORM_ATOL``.
+    The expansion length grows as r|t|; beyond ``MAX_CHEBYSHEV_ORDER``
+    (near-degenerate couplings) a matrix-free apply raises
+    :class:`PropagationError`, as it does if it changes the norm by more
+    than ``CHEBYSHEV_NORM_ATOL``.
     """
 
     def __init__(self, graph: CouplingGraph):
         self.n_qubits = graph.n_qubits
         h = to_sparse(graph)
-        self._h = h if graph.n_qubits <= EIGH_MAX_QUBITS else None
-        self._eigvals = None
-        self._eigvecs = None
-        self._scaled = None
-        self._applied = False
-        if graph.n_qubits <= EAGER_EIGH_MAX_QUBITS:
-            self._factorize()
+        if graph.n_qubits <= EIGH_MAX_QUBITS:
+            # complex eigh of the complex matrix, as the N <= 6 results
+            # depend on its exact rounding (the real solver gives other bits)
+            self._eigvals, self._eigvecs = np.linalg.eigh(h.toarray().astype(complex))
             return
+        self._eigvals = None
         diag = h.diagonal()
         off = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
         lower, upper = np.min(diag - off), np.max(diag + off)
@@ -253,26 +243,12 @@ class HamiltonianPropagator:
 
     @property
     def factorized(self) -> bool:
-        """True once applies go through the eigendecomposition."""
+        """True when applies go through the eigendecomposition."""
         return self._eigvals is not None
-
-    def _factorize(self) -> None:
-        # complex eigh of the complex matrix, as the N <= 6 results depend
-        # on its exact rounding (the real solver gives different bits)
-        w, v = np.linalg.eigh(self._h.toarray().astype(complex))
-        self._eigvals = w
-        self._eigvecs = v
-        self._h = self._scaled = None
 
     def propagate(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
         if self._eigvals is None:
-            if self.n_qubits <= EIGH_MAX_QUBITS and (
-                self._applied or not self._radius * abs(t) <= MAX_CHEBYSHEV_ORDER
-            ):
-                self._factorize()
-            else:
-                self._applied = True
-                return self._chebyshev(amplitudes, t)
+            return self._chebyshev(amplitudes, t)
         phases = np.exp(-1j * self._eigvals * t)
         return self._eigvecs @ (phases * (self._eigvecs.conj().T @ amplitudes))
 

@@ -12,9 +12,12 @@ Ladder actions used throughout::
     Sigma_- |W_j> = sqrt(j(N-j+1))   |W_{j-1}>
     Sigma_z |W_j> = (2j - N)         |W_j>
 
-Collective rotations follow the *rotation* Pauli convention of
-:mod:`ghznet.dense` (standard z = diag(+1, -1) per qubit), whose collective
-generators are ``Sigma_x``, ``-Sigma_y_ladder`` and ``-Sigma_z``.
+with the collective ladder operators written in the one Pauli convention
+of :mod:`ghznet.dense` (standard z = diag(+1, -1) per qubit) as
+``Sigma_+ = sum_k (X_k - i Y_k)/2``, ``Sigma_- = sum_k (X_k + i Y_k)/2``
+and ``Sigma_z = -sum_k Z_k``, so ``Sigma_+`` raises the excitation count
+j (the number of qubits in ``|1>``).  Collective rotations are generated
+by ``sum_k X_k``, ``sum_k Y_k`` and ``sum_k Z_k``.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .dense import MAX_DENSE_QUBITS, StateVector, pauli_on
-
-MAX_SYMMETRIC_QUBITS = 10000
 
 
 def binomial_row(n: int) -> np.ndarray:
@@ -212,7 +213,7 @@ def ghz_w_target(n: int) -> WBasisState:
 
 
 def collective_ladder_dense(n: int, which: str) -> np.ndarray:
-    """Dense Sigma_+/Sigma_-/Sigma_z built from single-qubit ladder Paulis."""
+    """Dense Sigma_+/Sigma_-/Sigma_z built from single-qubit Paulis."""
     dim = 1 << n
     out = np.zeros((dim, dim), dtype=complex)
     for k in range(1, n + 1):
@@ -220,11 +221,11 @@ def collective_ladder_dense(n: int, which: str) -> np.ndarray:
         sy = pauli_on(n, k, "y").matrix
         sz = pauli_on(n, k, "z").matrix
         if which == "plus":
-            out += 0.5 * (sx + 1j * sy)
-        elif which == "minus":
             out += 0.5 * (sx - 1j * sy)
+        elif which == "minus":
+            out += 0.5 * (sx + 1j * sy)
         elif which == "z":
-            out += sz
+            out -= sz
         else:
             raise ValueError(f"which must be plus, minus or z, got {which!r}")
     return out

@@ -47,6 +47,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config("protocol", str(path), {})
 
+    @pytest.mark.parametrize("raw", [3.7, True])
+    def test_non_integral_count_rejected(self, raw, tmp_path):
+        with pytest.raises(ConfigError):
+            load_config("sweep", None, {"restarts": raw})
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"n_qubits": raw}))
+        with pytest.raises(ConfigError):
+            load_config("protocol", str(path), {})
+        assert main(["protocol", "--config", str(path)]) == EXIT_INPUT
+
+    def test_integral_float_count_accepted(self):
+        assert load_config("protocol", None, {"n_qubits": 5.0})["n_qubits"] == 5
+
     def test_round_trip(self, tmp_path):
         cfg = load_config("sweep", None, {"seed": 7})
         path = tmp_path / "cfg.json"
@@ -83,13 +96,20 @@ class TestCommands:
     def test_protocol_degenerate_is_input_error(self, capsys):
         assert main(["protocol", "--n", "3", "--g", "1", "--gz", "1"]) == EXIT_INPUT
 
-    @pytest.mark.parametrize("n", ["8", "12"])
+    @pytest.mark.parametrize("n", ["7", "8", "12"])
     def test_protocol_near_degenerate_is_numerical_failure(self, n, capsys):
-        # N = 8 factorizes and misses the exactness threshold; N = 12 is
-        # refused before an unaffordable Chebyshev expansion starts
+        # above N = 6 the run is refused before an unaffordable Chebyshev
+        # expansion starts
         start = time.monotonic()
         assert main(["protocol", "--n", n, "--g", "1", "--gz", "0.9999999"]) == EXIT_NUMERICAL
         assert time.monotonic() - start < 10
+
+    @pytest.mark.parametrize("n", ["4", "6"])
+    def test_protocol_lost_phase_is_numerical_failure(self, n, capsys):
+        # g ~ gz: the diagonalized run loses the GHZ phase (NoGlobalPhaseError)
+        argv = ["protocol", "--n", n, "--g", "1", "--gz", "1.0000000000001"]
+        assert main(argv) == EXIT_NUMERICAL
+        assert capsys.readouterr().out == ""
 
     def test_optimize_writes_result_and_state(self, tmp_path):
         out = tmp_path / "opt.csv"

@@ -52,10 +52,10 @@ class TestBasisState:
 
 
 class TestPauliOn:
-    def test_z_on_ground_gives_minus(self):
+    def test_z_on_ground_gives_plus(self):
         z = pauli_on(1, 1, "z")
         out = z.apply(basis_state(1, "0"))
-        assert np.allclose(out.amplitudes, [-1, 0])
+        assert np.allclose(out.amplitudes, [1, 0])
 
     def test_x_flips_first_qubit(self):
         x = pauli_on(2, 1, "x")

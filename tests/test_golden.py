@@ -1,7 +1,8 @@
 """Byte-for-byte CLI outputs against files kept in ``tests/golden/``.
 
-The files were written by the code before the pulse-plan rewrite; a change
-that keeps behaviour keeps every byte of them.
+The files were written by the code before the pulse-plan rewrite (the
+N = 8 and N = 10 protocol files before the propagation paths were reduced
+to two); a change that keeps behaviour keeps every byte of them.
 """
 
 from pathlib import Path
@@ -22,6 +23,9 @@ GOLDEN = Path(__file__).with_name("golden")
             ["--n", "5", "--g", "1", "--gz", "0.05", "--engine", "symmetric"],
             "protocol_n5_g1_gz0.05_symmetric.txt",
         ),
+        # N > 6: the Chebyshev path
+        (["--n", "8", "--g", "1", "--gz", "0.05"], "protocol_n8_g1_gz0.05.txt"),
+        (["--n", "10", "--g", "1", "--gz", "-0.05"], "protocol_n10_g1_gz-0.05.txt"),
     ],
 )
 def test_protocol_stdout(argv, name, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ghznet import optimizer
 from ghznet.couplings import ideal, perturbed_general, perturbed_n3
 from ghznet.optimizer import (
     OptimizerConfig,
@@ -139,6 +140,14 @@ class TestSweep:
         rows = sweep([-0.5, 0.02], config=FAST)
         assert rows[0]["error"] != "" and np.isnan(rows[0]["F_opt"])
         assert rows[1]["error"] == ""
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        def broken(problem, config):
+            raise TypeError("a bug, not a failed optimization")
+
+        monkeypatch.setattr(optimizer, "optimize", broken)
+        with pytest.raises(TypeError):
+            sweep([0.02], config=FAST)
 
     def test_csv_schema(self, tmp_path):
         rows = sweep([0.0], config=FAST)

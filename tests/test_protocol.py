@@ -242,17 +242,16 @@ class TestChebyshevPropagation:
         want = evolve(StateVector(n, psi), to_dense(graph), t).amplitudes
         assert np.max(np.abs(got - want)) <= 1e-12
 
-    def test_reuse_switches_to_factorized(self):
+    def test_reuse_stays_matrix_free(self):
         n = 8
         graph = ideal(n, 1.0, 0.05)
         psi = _random_state(np.random.default_rng(8), n)
         t = entangling_time(1.0, 0.05)
         prop = HamiltonianPropagator(graph)
         first = prop.propagate(psi, t)
-        assert not prop.factorized
         for _ in range(2):
             again = prop.propagate(psi, t)
-            assert prop.factorized
+            assert not prop.factorized
             assert np.max(np.abs(again - first)) <= 1e-12
 
     def test_small_graphs_factorize_eagerly(self):
@@ -271,12 +270,14 @@ class TestChebyshevPropagation:
 
     def test_near_degenerate_refused_above_factorizable_size(self):
         t = entangling_time(1.0, 0.9999999)
-        prop8 = HamiltonianPropagator(ideal(8, 1.0, 0.9999999))
-        prop8.propagate(_random_state(np.random.default_rng(0), 8), t)
-        assert prop8.factorized
-        prop12 = HamiltonianPropagator(ideal(12, 1.0, 0.9999999))
-        with pytest.raises(PropagationError):
-            prop12.propagate(_random_state(np.random.default_rng(0), 12), t)
+        prop6 = HamiltonianPropagator(ideal(6, 1.0, 0.9999999))
+        assert prop6.factorized
+        out = prop6.propagate(_random_state(np.random.default_rng(0), 6), t)
+        assert np.all(np.isfinite(out))
+        for n in (7, 12):
+            prop = HamiltonianPropagator(ideal(n, 1.0, 0.9999999))
+            with pytest.raises(PropagationError):
+                prop.propagate(_random_state(np.random.default_rng(0), n), t)
 
     def test_norm_drift_is_a_numerical_error(self, monkeypatch):
         # a truncated expansion no longer preserves the norm
