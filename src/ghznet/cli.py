@@ -42,10 +42,10 @@ from .optimizer import (
 )
 from .protocol import (
     DegenerateCouplingError,
+    _verify_plan,
     compile_plan,
     entangling_time,
     ghz_target,
-    verify,
 )
 from .symmetric import analytic_eigenvalues, w_state_dense
 
@@ -111,8 +111,8 @@ def load_config(command: str, path: str | None, overrides: dict) -> dict:
     """Merge defaults, config-file values, and flag overrides for a command.
 
     Unknown keys in the file or the overrides are rejected; values are
-    coerced to the schema's types, and NaN or infinite floats, booleans
-    and non-integral numbers for integer keys are rejected.
+    coerced to the schema's types, and booleans for numeric keys, NaN or
+    infinite floats and non-integral numbers for integer keys are rejected.
     The result serializes back to JSON and reparses to itself.
     """
     schema = SCHEMAS[command]
@@ -130,10 +130,11 @@ def load_config(command: str, path: str | None, overrides: dict) -> dict:
             if key not in schema:
                 raise ConfigError(f"unknown config key {key!r} for command {command!r}")
             typ = schema[key][0]
-            # int(3.7) truncates and int(True) is 1: neither is a count
-            if typ is int and (
-                isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer())
-            ):
+            # float(True) is 1.0: a boolean is not a number
+            if typ in (int, float) and isinstance(raw, bool):
+                raise ConfigError(f"config key {key!r}: {raw!r} is not a number")
+            # int(3.7) truncates: not a count
+            if typ is int and isinstance(raw, float) and not raw.is_integer():
                 raise ConfigError(f"config key {key!r}: {raw!r} is not an integer")
             try:
                 values[key] = typ(raw)
@@ -184,7 +185,7 @@ def cmd_protocol(cfg: dict) -> int:
     n, g, gz = cfg["n_qubits"], cfg["g"], cfg["gz"]
     plan = compile_plan(n, g, gz)
     # run first, so a rejected engine or a failed run prints no plan
-    fid, measured = verify(n, g, gz, engine=cfg["engine"])
+    fid, measured = _verify_plan(plan, g, gz, cfg["engine"])
     print(json.dumps(plan.to_dict(), indent=2))
     expected = plan.expected_phase.phase
     print(f"fidelity {fid:.6f}")

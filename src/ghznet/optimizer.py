@@ -17,6 +17,19 @@ strong-ZZ correction, keeps its compiled value.  Three families:
   (the collective y pulse stays at pi/2);
 * even full: the per-qubit plan, free = the N final y pulses (the qubit-1
   z pulse stays at its compiled value).
+
+A problem is built once per graph and holds everything an evaluation
+does not change: the graph's propagator with the prepared state already
+in its eigenbasis, each final pulse as its qubits plus either its fixed
+2x2 matrix or the index of its parameter, the GHZ target amplitudes and
+the conjugated expected phase.  One evaluation then propagates the
+prepared state for the trial time, rotates the raw amplitude vector
+pulse by pulse (a 2x2 matrix per free angle), strips the expected phase
+and takes the phase-aligned Frobenius distance to the target -- the same
+floating-point operations, in the same order, as running ``plan_for``'s
+plan through :func:`~ghznet.protocol.execute` and
+:func:`~ghznet.dense.fidelity_frobenius`, so the results agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -28,14 +41,18 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .couplings import CouplingGraph, perturbed_n3
-from .dense import StateVector, fidelity_frobenius
+from .dense import (
+    StateVector,
+    fidelity_frobenius_raw,
+    rotate_amplitudes,
+    single_qubit_rotation,
+)
 from .protocol import (
     HamiltonianPropagator,
     ProtocolPlan,
     Pulse,
     compile_plan,
     entangling_time,
-    execute,
     ghz_target,
 )
 
@@ -49,6 +66,8 @@ class OptimizationProblem:
     A parameter vector is the entangling time followed by the angles of
     the final pulses ``plan.finals[i]`` for ``i`` in ``free``;
     ``ideal_params`` is the point that reproduces ``plan`` unchanged.
+    Build one with :func:`problem_odd`, :func:`problem_even_restricted`
+    or :func:`problem_even_full`.
     """
 
     graph: CouplingGraph
@@ -58,6 +77,11 @@ class OptimizationProblem:
     lower: np.ndarray
     upper: np.ndarray
     _propagator: HamiltonianPropagator = field(repr=False, compare=False)
+    # per final pulse: (qubits, axis, its fixed 2x2 matrix or the index of
+    # its angle in a parameter vector)
+    _finals: tuple = field(repr=False, compare=False)
+    _target: np.ndarray = field(repr=False, compare=False)
+    _phase_conj: complex = field(repr=False, compare=False)
 
     @property
     def n_qubits(self) -> int:
@@ -75,11 +99,20 @@ class OptimizationProblem:
 
     def run(self, params: np.ndarray) -> StateVector:
         """Execute the plan and strip the expected global phase."""
-        plan = self.plan_for(params)
-        psi = execute(plan, self.graph, engine="dense", propagator=self._propagator)
-        return StateVector(
-            psi.n_qubits, psi.amplitudes * plan.expected_phase.phase.conjugate()
-        )
+        return StateVector(self.n_qubits, self._state(params))
+
+    def _state(self, params: np.ndarray) -> np.ndarray:
+        """Amplitudes of :meth:`run` without building a plan or a state."""
+        n = self.n_qubits
+        amps = self._propagator.propagate_prepared(float(params[0]))
+        for qubits, axis, pulse in self._finals:
+            if isinstance(pulse, int):
+                u = single_qubit_rotation(axis, float(params[pulse]))
+            else:
+                u = pulse
+            for k in qubits:
+                amps = rotate_amplitudes(amps, n, k, u)
+        return amps * self._phase_conj
 
 
 @dataclass(frozen=True)
@@ -103,10 +136,21 @@ def _make_problem(
     graph: CouplingGraph, plan: ProtocolPlan, free: tuple[int, ...],
     angle_upper: float,
 ) -> OptimizationProblem:
+    n = plan.n_qubits
     t_ideal = plan.entangle_duration
     ideal_params = np.array([t_ideal] + [plan.finals[i].angle for i in free])
     lower = np.concatenate([[0.5 * t_ideal], np.zeros(len(free))])
     upper = np.concatenate([[1.5 * t_ideal], np.full(len(free), angle_upper)])
+    # parameter 0 is the entangling time, parameter j + 1 the j-th free angle
+    param_of = {i: j + 1 for j, i in enumerate(free)}
+    finals = tuple(
+        (
+            tuple(range(1, n + 1)) if p.qubit is None else (p.qubit,),
+            p.axis,
+            param_of[i] if i in param_of else single_qubit_rotation(p.axis, p.angle),
+        )
+        for i, p in enumerate(plan.finals)
+    )
     return OptimizationProblem(
         graph=graph,
         plan=plan,
@@ -115,6 +159,9 @@ def _make_problem(
         lower=lower,
         upper=upper,
         _propagator=HamiltonianPropagator(graph),
+        _finals=finals,
+        _target=ghz_target(n).state.amplitudes,
+        _phase_conj=plan.expected_phase.phase.conjugate(),
     )
 
 
@@ -154,11 +201,11 @@ def objective(problem: OptimizationProblem, params: np.ndarray) -> float:
         raise ValueError(
             f"expected {problem.ideal_params.shape[0]} parameters, got {params.shape}"
         )
-    if np.any(params < problem.lower) or np.any(params > problem.upper):
+    if (params < problem.lower).any() or (params > problem.upper).any():
         raise ValueError("parameters outside the problem bounds")
-    psi = problem.run(params)
-    target = ghz_target(problem.n_qubits).state
-    return 1.0 - fidelity_frobenius(psi, target, align_phase=True)
+    return 1.0 - fidelity_frobenius_raw(
+        problem._state(params), problem._target, align_phase=True
+    )
 
 
 def optimize(

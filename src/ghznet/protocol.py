@@ -210,7 +210,8 @@ class HamiltonianPropagator:
 
     * factorized (N <= ``EIGH_MAX_QUBITS``) -- the full complex
       eigendecomposition of H, built with the propagator, after which each
-      apply is two dense products;
+      apply is two dense products.  The prepared state's eigenbasis
+      coefficients are cached too, so :meth:`propagate_prepared` is one;
     * matrix-free (above) -- H is stored as real CSR shifted and scaled to
       [-1, 1] by its Gershgorin bounds (centre c, radius r), and
       e^{-iHt} psi = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k(H~) psi
@@ -231,6 +232,7 @@ class HamiltonianPropagator:
             # complex eigh of the complex matrix, as the N <= 6 results
             # depend on its exact rounding (the real solver gives other bits)
             self._eigvals, self._eigvecs = np.linalg.eigh(h.toarray().astype(complex))
+            self._prepared_coeffs = self._eigvecs.conj().T @ _prepared(self.n_qubits)
             return
         self._eigvals = None
         diag = h.diagonal()
@@ -251,6 +253,13 @@ class HamiltonianPropagator:
             return self._chebyshev(amplitudes, t)
         phases = np.exp(-1j * self._eigvals * t)
         return self._eigvecs @ (phases * (self._eigvecs.conj().T @ amplitudes))
+
+    def propagate_prepared(self, t: float) -> np.ndarray:
+        """e^{-iHt} applied to :data:`PREPARATION` |0...0>."""
+        if self._eigvals is None:
+            return self.propagate(_prepared(self.n_qubits), t)
+        phases = np.exp(-1j * self._eigvals * t)
+        return self._eigvecs @ (phases * self._prepared_coeffs)
 
     def _chebyshev(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
         rt = self._radius * t
@@ -306,6 +315,11 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
         if small.size:
             return j[: small[0]]
         span *= 2.0
+
+
+def _prepared(n: int) -> np.ndarray:
+    """Amplitudes of :data:`PREPARATION` applied to |0...0>."""
+    return _apply_pulses(all_zeros(n), (PREPARATION,)).amplitudes
 
 
 def _run_w_basis(
@@ -375,10 +389,7 @@ def execute(
             )
         if propagator is None:
             propagator = HamiltonianPropagator(graph)
-        psi = _apply_pulses(all_zeros(n), (PREPARATION,))
-        psi = StateVector(
-            n, propagator.propagate(psi.amplitudes, plan.entangle_duration)
-        )
+        psi = StateVector(n, propagator.propagate_prepared(plan.entangle_duration))
         return _apply_pulses(psi, plan.finals)
     if engine == "symmetric":
         if not graph.is_ideal():
@@ -403,7 +414,14 @@ def verify(
     The phase is the measured global phase of the output relative to the
     GHZ target; for a correct run it equals the plan's expected phase.
     """
-    plan = compile_plan(n, g, gz)
+    return _verify_plan(compile_plan(n, g, gz), g, gz, engine)
+
+
+def _verify_plan(
+    plan: ProtocolPlan, g: float, gz: float, engine: str
+) -> tuple[float, GlobalPhase]:
+    """:func:`verify` for an already compiled plan of the (g, gz) network."""
+    n = plan.n_qubits
     psi = execute(plan, ideal(n, g, gz), engine=engine)
     target = ghz_target(n).state
     fid = fidelity_frobenius(psi, target, align_phase=True)

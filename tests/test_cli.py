@@ -57,6 +57,15 @@ class TestConfig:
             load_config("protocol", str(path), {})
         assert main(["protocol", "--config", str(path)]) == EXIT_INPUT
 
+    def test_boolean_float_rejected(self, tmp_path, capsys):
+        # float(True) would silently run with g = 1
+        with pytest.raises(ConfigError):
+            load_config("protocol", None, {"g": True})
+        path = tmp_path / "run.json"
+        path.write_text('{"g": true}')
+        assert main(["protocol", "--config", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().out == ""
+
     def test_integral_float_count_accepted(self):
         assert load_config("protocol", None, {"n_qubits": 5.0})["n_qubits"] == 5
 

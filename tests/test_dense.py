@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghznet.dense import (
     DenseOperator,
@@ -111,6 +113,39 @@ class TestRotations:
         psi = random_state(3, rng)
         out = apply_single_qubit(psi, 2, u)
         assert abs(out.norm() - 1) <= 1e-12
+
+
+def _tensordot_kernel(state, k, u):
+    """The qubit-rotation kernel as first written, kept as a bit reference."""
+    n = state.n_qubits
+    psi = state.amplitudes.reshape([2] * n)
+    psi = np.tensordot(u, psi, axes=([1], [k - 1]))
+    psi = np.moveaxis(psi, 0, k - 1)
+    return np.ascontiguousarray(psi).reshape(-1)
+
+
+class TestRotationKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        axis=st.sampled_from("xyz"),
+        angle=st.floats(-4 * np.pi, 4 * np.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_tensordot(self, axis, angle, seed):
+        rng = np.random.default_rng(seed)
+        u = single_qubit_rotation(axis, angle)
+        for n in range(1, 9):
+            psi = random_state(n, rng)
+            for k in range(1, n + 1):
+                got = apply_single_qubit(psi, k, u).amplitudes
+                assert np.array_equal(got, _tensordot_kernel(psi, k, u))
+
+    def test_qubit_out_of_range(self):
+        psi = random_state(3, np.random.default_rng(0))
+        u = single_qubit_rotation("x", 0.3)
+        for k in (0, 4):
+            with pytest.raises(ValueError):
+                apply_single_qubit(psi, k, u)
 
 
 class TestEvolve:

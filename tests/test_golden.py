@@ -1,8 +1,10 @@
-"""Byte-for-byte CLI outputs against files kept in ``tests/golden/``.
+"""Byte-for-byte outputs against files kept in ``tests/golden/``.
 
-The files were written by the code before the pulse-plan rewrite (the
-N = 8 and N = 10 protocol files before the propagation paths were reduced
-to two); a change that keeps behaviour keeps every byte of them.
+The protocol files were written by the code before the pulse-plan
+rewrite (the N = 8 and N = 10 files before the propagation paths were
+reduced to two); the sweep CSV and the four-qubit optimizer results were
+written by the code before the objective was rebuilt on raw arrays.  A
+change that keeps behaviour keeps every byte of them.
 """
 
 from pathlib import Path
@@ -10,8 +12,16 @@ from pathlib import Path
 import pytest
 
 from ghznet.cli import EXIT_OK, main
+from ghznet.couplings import perturbed_general
+from ghznet.optimizer import optimize, optimize_restricted_n4, problem_even_full
 
 GOLDEN = Path(__file__).with_name("golden")
+
+# a fixed unequal four-qubit network for the even-family optimizer goldens
+N4_MULTIPLIERS = {
+    (1, 2): 0.97, (1, 3): 0.93, (1, 4): 0.99,
+    (2, 3): 0.91, (2, 4): 0.95, (3, 4): 0.98,
+}
 
 
 @pytest.mark.parametrize(
@@ -37,3 +47,30 @@ def test_optimize_default_csv(tmp_path, capsys):
     out = tmp_path / "optimize.csv"
     assert main(["optimize", "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == (GOLDEN / "optimize_default.csv").read_bytes()
+
+
+def test_sweep_default_csv(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / "sweep_default.csv").read_bytes()
+
+
+def n4_results_text() -> str:
+    """Exact reprs of both even-family corrections of the fixed network."""
+    graph = perturbed_general(4, 1.0, 0.05, N4_MULTIPLIERS)
+    lines = []
+    for name, result in [
+        ("restricted", optimize_restricted_n4(graph)),
+        ("full", optimize(problem_even_full(graph))),
+    ]:
+        lines += [
+            f"{name} t_opt {result.t_opt!r}",
+            f"{name} angles_opt {result.angles_opt.tolist()!r}",
+            f"{name} fidelity {result.fidelity!r}",
+            f"{name} objective_evaluations {result.objective_evaluations!r}",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def test_n4_optimizer_results():
+    assert n4_results_text().encode() == (GOLDEN / "optimize_n4.txt").read_bytes()

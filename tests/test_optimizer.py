@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghznet import optimizer
 from ghznet.couplings import ideal, perturbed_general, perturbed_n3
@@ -18,7 +20,14 @@ from ghznet.optimizer import (
     uncorrected_fidelity,
     write_sweep_csv,
 )
-from ghznet.protocol import entangling_time, theta
+from ghznet.dense import StateVector, fidelity_frobenius
+from ghznet.protocol import (
+    HamiltonianPropagator,
+    entangling_time,
+    execute,
+    ghz_target,
+    theta,
+)
 
 FAST = OptimizerConfig(restarts=3)
 
@@ -92,6 +101,65 @@ class TestObjective:
         prob = problem_odd(ideal(3, 1, 0.05))
         with pytest.raises(ValueError):
             objective(prob, prob.ideal_params[:-1])
+
+
+def _families():
+    g4 = random_n4_graph(np.random.default_rng(11))
+    strong_zz = ideal(4, 0.5, 1.0)
+    return {
+        "odd-3": problem_odd(perturbed_n3(1.0, 0.02, 0.06, 0.05)),
+        "restricted-4": problem_even_restricted(g4),
+        "full-4": problem_even_full(g4),
+        "restricted-4-strong-zz": problem_even_restricted(strong_zz),
+        "full-4-strong-zz": problem_even_full(strong_zz),
+    }
+
+
+FAMILIES = _families()
+
+
+def _reference_objective(problem, params):
+    """1 - fidelity of the plan run through execute on a fresh propagator."""
+    plan = problem.plan_for(params)
+    psi = execute(plan, problem.graph, propagator=HamiltonianPropagator(problem.graph))
+    psi = StateVector(psi.n_qubits, psi.amplitudes * plan.expected_phase.phase.conjugate())
+    target = ghz_target(problem.n_qubits).state
+    return 1.0 - fidelity_frobenius(psi, target, align_phase=True)
+
+
+class TestObjectiveBits:
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    @settings(max_examples=25, deadline=None)
+    @given(fractions=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))
+    def test_equals_plan_execution(self, name, fractions):
+        problem = FAMILIES[name]
+        size = problem.ideal_params.shape[0]
+        span = problem.upper - problem.lower
+        params = np.clip(
+            problem.lower + np.array(fractions[:size]) * span, problem.lower, problem.upper
+        )
+        assert objective(problem, params) == _reference_objective(problem, params)
+        assert np.array_equal(
+            problem.run(params).amplitudes,
+            execute(problem.plan_for(params), problem.graph).amplitudes
+            * problem.plan.expected_phase.phase.conjugate(),
+        )
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_ideal_point_equals_plan_execution(self, name):
+        problem = FAMILIES[name]
+        expected = _reference_objective(problem, problem.ideal_params)
+        assert objective(problem, problem.ideal_params) == expected
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_bad_parameters_rejected(self, name):
+        problem = FAMILIES[name]
+        for bad in (problem.lower - 1e-9, problem.upper + 1e-9):
+            with pytest.raises(ValueError):
+                objective(problem, bad)
+        for params in (problem.ideal_params[:-1], np.append(problem.ideal_params, 0.0)):
+            with pytest.raises(ValueError):
+                objective(problem, params)
 
 
 class TestOptimize:
