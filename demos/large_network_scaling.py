@@ -16,7 +16,7 @@ from ghznet.symmetric import ghz_w_target
 g, gz = 1.0, 0.05
 
 print(f"{'N':>6} {'fidelity':>16} {'time':>8}")
-for n in (11, 101, 1001, 5001):
+for n in (11, 101, 1001, 5001, 10001):
     start = time.monotonic()
     plan = compile_plan(n, g, gz)
     w = execute_symmetric(plan, g, gz)

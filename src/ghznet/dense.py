@@ -226,7 +226,12 @@ def global_phase_between(a: StateVector, b: StateVector) -> GlobalPhase:
     """Unit phase phi such that a ~= phi * b; raises if not phase-equivalent."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    ov = np.vdot(b.amplitudes, a.amplitudes)
+    return global_phase_between_raw(a.amplitudes, b.amplitudes)
+
+
+def global_phase_between_raw(a: np.ndarray, b: np.ndarray) -> GlobalPhase:
+    """:func:`global_phase_between` on raw amplitude vectors of equal length."""
+    ov = np.vdot(b, a)
     if abs(ov) < 1.0 - PHASE_OVERLAP_ATOL:
         raise NoGlobalPhaseError(
             f"states are not equal up to a global phase (|<b|a>| = {abs(ov):.9f})"

@@ -201,7 +201,8 @@ def objective(problem: OptimizationProblem, params: np.ndarray) -> float:
         raise ValueError(
             f"expected {problem.ideal_params.shape[0]} parameters, got {params.shape}"
         )
-    if (params < problem.lower).any() or (params > problem.upper).any():
+    # "not inside the box", so that NaN (never inside) is refused too
+    if not ((params >= problem.lower).all() and (params <= problem.upper).all()):
         raise ValueError("parameters outside the problem bounds")
     return 1.0 - fidelity_frobenius_raw(
         problem._state(params), problem._target, align_phase=True

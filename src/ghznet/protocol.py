@@ -13,8 +13,10 @@ final angles, never the shape.
 
 Both engines read the plan directly: the dense engine simulates the full
 2^N statevector pulse by pulse; the symmetric engine runs the plan in the
-(N+1)-dimensional W basis up to its first single-qubit pulse and hands
-the rest to the dense engine.
+(N+1)-dimensional W basis up to its first single-qubit pulse.  To return
+a state (N <= 14) it hands the rest to the dense engine; to verify a plan
+at any N it requires the rest to be z rotations, which are diagonal on
+|0...0> and |1...1>, and applies their inverse to the GHZ target instead.
 
 The dense engine's free evolution e^{-iHt} has two paths, chosen by qubit
 count alone (see :class:`HamiltonianPropagator`).  Up to N = 6, which
@@ -31,8 +33,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import identity
-from scipy.special import jv
 
+from .chebyshev import PropagationError, chebyshev_propagate
 from .couplings import CouplingGraph, ideal, to_sparse
 from .dense import (
     MAX_DENSE_QUBITS,
@@ -41,8 +43,8 @@ from .dense import (
     all_zeros,
     apply_collective_rotation,
     apply_rotation,
-    fidelity_frobenius,
-    global_phase_between,
+    fidelity_frobenius_raw,
+    global_phase_between_raw,
 )
 from .symmetric import (
     WBasisState,
@@ -50,6 +52,8 @@ from .symmetric import (
     collective_rotation,
     embed,
     entangle_phases,
+    ghz_w_target,
+    uniform_superposition,
 )
 
 # largest qubit count diagonalized: up to here one complex eigh is
@@ -59,10 +63,6 @@ EIGH_MAX_QUBITS = 6
 # spectrum's radius times the time); only near-degenerate couplings
 # g -> gz, whose entangling time diverges, come close
 MAX_CHEBYSHEV_ORDER = 10_000
-# Bessel coefficients below this (past order r|t|) end the expansion
-CHEBYSHEV_TAIL = 1e-17
-# allowed drift of the norm across one Chebyshev propagation
-CHEBYSHEV_NORM_ATOL = 1e-10
 
 
 class DegenerateCouplingError(ValueError):
@@ -71,10 +71,6 @@ class DegenerateCouplingError(ValueError):
 
 class EngineCapabilityError(ValueError):
     """The requested engine cannot run this plan/graph combination."""
-
-
-class PropagationError(ArithmeticError):
-    """e^{-iHt} cannot be applied to the required accuracy at bounded cost."""
 
 
 @dataclass(frozen=True)
@@ -213,16 +209,13 @@ class HamiltonianPropagator:
       apply is two dense products.  The prepared state's eigenbasis
       coefficients are cached too, so :meth:`propagate_prepared` is one;
     * matrix-free (above) -- H is stored as real CSR shifted and scaled to
-      [-1, 1] by its Gershgorin bounds (centre c, radius r), and
-      e^{-iHt} psi = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k(H~) psi
-      (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)).  psi is
-      carried as a real (2, dim) array of its real and imaginary parts, so
-      each term is two real sparse matrix-vector products.
+      [-1, 1] by its Gershgorin bounds (centre c, radius r), and each apply
+      is a :func:`~ghznet.chebyshev.chebyshev_propagate` expansion, two
+      real sparse matrix-vector products per term.
 
     The expansion length grows as r|t|; beyond ``MAX_CHEBYSHEV_ORDER``
     (near-degenerate couplings) a matrix-free apply raises
-    :class:`PropagationError`, as it does if it changes the norm by more
-    than ``CHEBYSHEV_NORM_ATOL``.
+    :class:`PropagationError`, as it does if it changes the norm.
     """
 
     def __init__(self, graph: CouplingGraph):
@@ -269,52 +262,14 @@ class HamiltonianPropagator:
                 f"order ~{abs(rt):.3g} > {MAX_CHEBYSHEV_ORDER} (near-degenerate "
                 "couplings give a diverging entangling time)"
             )
-        coef = _chebyshev_coefficients(rt)
-        # (-i)^k = (-1)^(k//2) on even k and -i (-1)^(k//2) on odd k:
-        # collect the two parities as real blocks, combine at the end
-        coef[1:] *= 2.0
-        coef[2::4] *= -1.0
-        coef[3::4] *= -1.0
         h = self._scaled
 
-        def apply(v: np.ndarray) -> np.ndarray:
+        def matvec(v: np.ndarray) -> np.ndarray:
             # one single-vector product per row: scipy's multi-vector CSR
             # kernel is slower than two single-vector ones
             return np.array([h @ v[0], h @ v[1]])
 
-        prev = np.array([amplitudes.real, amplitudes.imag])
-        sums = [coef[0] * prev, np.zeros_like(prev)]
-        cur = apply(prev)
-        for k in range(1, len(coef)):
-            if k > 1:
-                nxt = apply(cur)
-                nxt *= 2.0
-                nxt -= prev
-                prev, cur = cur, nxt
-            sums[k % 2] += coef[k] * cur
-        even, odd = sums
-        out = (even[0] + odd[1]) + 1j * (even[1] - odd[0])
-        out *= np.exp(-1j * self._centre * t)
-        norm_in = np.linalg.norm(amplitudes)
-        drift = abs(np.linalg.norm(out) - norm_in)
-        if not drift <= CHEBYSHEV_NORM_ATOL * norm_in:
-            raise PropagationError(
-                f"Chebyshev propagation changed the norm by {drift:.2e} "
-                f"(N = {self.n_qubits}, t = {t:g})"
-            )
-        return out
-
-
-def _chebyshev_coefficients(x: float) -> np.ndarray:
-    """J_k(x) for k = 0, 1, ... up to the first k > |x| with |J_k| < tail."""
-    span = 2.0 * abs(x) + 32.0
-    while True:
-        k = np.arange(int(span))
-        j = jv(k, x)
-        small = np.flatnonzero((k > abs(x)) & (np.abs(j) < CHEBYSHEV_TAIL))
-        if small.size:
-            return j[: small[0]]
-        span *= 2.0
+        return chebyshev_propagate(matvec, self._centre, self._radius, amplitudes, t)
 
 
 def _prepared(n: int) -> np.ndarray:
@@ -330,9 +285,8 @@ def _run_w_basis(
     Returns the state and the final pulses left unapplied.
     """
     n = plan.n_qubits
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    w = collective_rotation(WBasisState(n, coeffs), PREPARATION.axis, PREPARATION.angle)
+    # PREPARATION |0...0>, in closed form
+    w = uniform_superposition(n)
     w = entangle_phases(w, analytic_eigenvalues(n, g, gz), plan.entangle_duration)
     finals = plan.finals
     while finals and finals[0].qubit is None:
@@ -413,6 +367,8 @@ def verify(
 
     The phase is the measured global phase of the output relative to the
     GHZ target; for a correct run it equals the plan's expected phase.
+    The dense engine is limited to N <= 14; the symmetric engine runs any
+    N, both parities, in the W basis.
     """
     return _verify_plan(compile_plan(n, g, gz), g, gz, engine)
 
@@ -422,8 +378,30 @@ def _verify_plan(
 ) -> tuple[float, GlobalPhase]:
     """:func:`verify` for an already compiled plan of the (g, gz) network."""
     n = plan.n_qubits
-    psi = execute(plan, ideal(n, g, gz), engine=engine)
-    target = ghz_target(n).state
-    fid = fidelity_frobenius(psi, target, align_phase=True)
-    measured = global_phase_between(psi, target)
-    return fid, measured
+    if engine == "symmetric":
+        w, rest = _run_w_basis(plan, g, gz)
+        psi, target = w.coeffs, _pulled_back_ghz(n, rest)
+    else:
+        psi = execute(plan, ideal(n, g, gz), engine=engine).amplitudes
+        target = ghz_target(n).state.amplitudes
+    fid = fidelity_frobenius_raw(psi, target, align_phase=True)
+    return fid, global_phase_between_raw(psi, target)
+
+
+def _pulled_back_ghz(n: int, pulses: tuple[Pulse, ...]) -> np.ndarray:
+    """W coefficients of U^dag |GHZ> for the product U of z pulses.
+
+    A z rotation by a on one qubit multiplies |0...0> by e^{-ia/2} and
+    |1...1> by e^{+ia/2}, so U^dag |GHZ> stays in span{W_0, W_N}, and the
+    fidelity and phase of U psi against |GHZ> are those of psi against it.
+    """
+    if any(p.axis != "z" for p in pulses):
+        raise EngineCapabilityError(
+            "the symmetric engine verifies a plan in the W basis only when "
+            "every pulse from the first single-qubit one on is a z rotation"
+        )
+    half = sum(p.angle * (n if p.qubit is None else 1) for p in pulses) / 2
+    c = ghz_w_target(n).coeffs
+    c[0] *= np.exp(1j * half)
+    c[n] *= np.exp(-1j * half)
+    return c

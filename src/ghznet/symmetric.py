@@ -3,8 +3,12 @@
 The N+1 states ``|W_j>`` (equal-weight superpositions of all bitstrings
 with exactly j excited qubits) span the subspace preserved by the uniform
 fully connected exchange Hamiltonian and by collective rotations.  States
-here are coefficient vectors of length N+1, so the engine scales linearly
-in N instead of exponentially.
+here are coefficient vectors of length N+1, so memory is O(N) at any
+qubit count.  Free evolution is diagonal, a collective z rotation is
+diagonal, and a collective x or y rotation by angle a is a Chebyshev
+expansion (:mod:`ghznet.chebyshev`) of about N|a|/2 products with the
+tridiagonal x generator, O(N) each.  Only the dense reconstructions
+(:func:`embed`, :func:`w_state_dense`) are capped at N <= 14.
 
 Ladder actions used throughout::
 
@@ -25,8 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.special import gammaln
 
+from .chebyshev import chebyshev_propagate
 from .dense import MAX_DENSE_QUBITS, StateVector, pauli_on
 
 
@@ -147,18 +152,31 @@ def entangle_phases(state: WBasisState, table: EigenvalueTable, t: float) -> WBa
     return WBasisState(state.n_qubits, np.exp(-1j * table.lam * t) * state.coeffs)
 
 
-def _x_generator_spectrum(n: int):
-    """Eigen-decomposition of the tridiagonal collective x generator."""
-    a = raising_coefficients(n)
-    w, v = eigh_tridiagonal(np.zeros(n + 1), a)
-    return w, v
+# i^-j for j mod 4, exact (a complex power of 1j drifts at large j)
+_I_POWERS = np.array([1, -1j, -1, 1j])
+
+
+def _x_generator(n: int):
+    """Matrix-free sum_k X_k / N on W coefficients, rows real and imaginary
+    parts; sum_k X_k = Sigma_+ + Sigma_- has spectrum exactly [-N, N]."""
+    a = raising_coefficients(n) / n
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(v)
+        out[:, 1:] = a * v[:, :-1]
+        out[:, :-1] += a * v[:, 1:]
+        return out
+
+    return matvec
 
 
 def collective_rotation(state: WBasisState, axis: str, angle: float) -> WBasisState:
     """exp(-i (angle/2) Sigma_axis) restricted to the symmetric subspace.
 
     Agrees with applying the same single-qubit rotation (rotation
-    convention) to every qubit of the embedded dense state.
+    convention) to every qubit of the embedded dense state.  An x or y
+    rotation is a Chebyshev expansion of about N|angle|/2 tridiagonal
+    products; z is diagonal.
     """
     n = state.n_qubits
     c = state.coeffs
@@ -168,15 +186,24 @@ def collective_rotation(state: WBasisState, axis: str, angle: float) -> WBasisSt
         return WBasisState(n, np.exp(-1j * (angle / 2) * (n - 2 * j)) * c)
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
-    w, v = _x_generator_spectrum(n)
     if axis == "y":
         # y generator = D^dag X D with D = diag(i^-j)
-        d = np.power(1j, -np.arange(n + 1))
+        d = _I_POWERS[np.arange(n + 1) % 4]
         c = d * c
-    out = v @ (np.exp(-1j * (angle / 2) * w) * (v.T @ c))
+    out = chebyshev_propagate(_x_generator(n), 0.0, n, c, angle / 2)
     if axis == "y":
         out = d.conjugate() * out
     return WBasisState(n, out)
+
+
+def uniform_superposition(n: int) -> WBasisState:
+    """The collective y pi/2 rotation of |W_0> = |0...0>, in closed form:
+    c_j = sqrt(C(N,j)) / 2^(N/2), from log-gamma (finite at any N)."""
+    j = np.arange(n + 1, dtype=float)
+    log_c = 0.5 * (gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1))
+    # sum_j C(N,j) = 2^N, so normalizing supplies the 2^(-N/2)
+    c = np.exp(log_c - log_c.max())
+    return WBasisState(n, c / np.linalg.norm(c))
 
 
 def embed(state: WBasisState) -> StateVector:

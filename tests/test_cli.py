@@ -98,6 +98,19 @@ class TestCommands:
         text = capsys.readouterr().out
         assert "fidelity 1.000000" in text
 
+    @pytest.mark.parametrize(
+        "n, g, gz",
+        [("15", "1", "0.05"), ("1000", "1", "0.05"), ("1001", "1", "0.05"), ("1000", "0.5", "1")],
+    )
+    def test_protocol_symmetric_beyond_dense(self, n, g, gz, capsys):
+        argv = ["protocol", "--n", n, "--g", g, "--gz", gz, "--engine", "symmetric"]
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "fidelity 1.000000" in lines
+        expected = [l.removeprefix("expected ") for l in lines if l.startswith("expected phase")]
+        measured = [l.removeprefix("measured ") for l in lines if l.startswith("measured phase")]
+        assert len(expected) == 1 and measured == expected
+
     def test_protocol_report_mhz(self, capsys):
         main(["protocol", "--n", "3", "--g", "1", "--gz", "0", "--report-mhz", "10"])
         assert "25.000 ns" in capsys.readouterr().out

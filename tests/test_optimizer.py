@@ -161,6 +161,16 @@ class TestObjectiveBits:
             with pytest.raises(ValueError):
                 objective(problem, params)
 
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_nan_parameter_rejected(self, name):
+        # NaN compares False both ways, so it is never inside the box
+        problem = FAMILIES[name]
+        for k in range(problem.ideal_params.shape[0]):
+            params = problem.ideal_params.copy()
+            params[k] = np.nan
+            with pytest.raises(ValueError):
+                objective(problem, params)
+
 
 class TestOptimize:
     def test_ideal_graph_fixed_point(self):

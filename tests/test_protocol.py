@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ghznet import protocol
+from ghznet import chebyshev
 from ghznet.couplings import ideal, perturbed_general, perturbed_n3, to_dense
 from ghznet.dense import (
     StateVector,
@@ -22,6 +22,7 @@ from ghznet.protocol import (
     PropagationError,
     ProtocolPlan,
     Pulse,
+    _verify_plan,
     compile_plan,
     entangling_time,
     execute,
@@ -194,6 +195,30 @@ class TestExecuteAndVerify:
         aligned = w.coeffs * (overlap.conjugate() / abs(overlap))
         assert 1 - np.linalg.norm(aligned - target) >= 1 - 1e-8
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 10),
+        g=st.floats(-1.0, 1.0),
+        gz=st.floats(-1.0, 1.0),
+    )
+    def test_engines_verify_alike(self, n, g, gz):
+        # even N finishes with z pulses, which the W-basis run pulls back
+        # onto the target
+        assume(abs(g - gz) >= 0.05)
+        fid_d, phase_d = verify(n, g, gz, engine="dense")
+        fid_s, phase_s = verify(n, g, gz, engine="symmetric")
+        assert abs(fid_d - fid_s) <= 1e-12
+        assert abs(phase_d.phase - phase_s.phase) <= 1e-10
+
+    def test_symmetric_verify_refuses_non_z_single_qubit_pulse(self):
+        n = 4
+        plan = ProtocolPlan(
+            n, 0.7, (Pulse("x", 0.3), Pulse("z", 0.2, 1), Pulse("y", 0.4, 2)),
+            compile_plan(n, 1, 0.05).expected_phase,
+        )
+        with pytest.raises(EngineCapabilityError):
+            _verify_plan(plan, 1, 0.05, "symmetric")
+
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError):
             execute(compile_plan(3, 1, 0), ideal(4, 1, 0))
@@ -281,7 +306,7 @@ class TestChebyshevPropagation:
 
     def test_norm_drift_is_a_numerical_error(self, monkeypatch):
         # a truncated expansion no longer preserves the norm
-        monkeypatch.setattr(protocol, "CHEBYSHEV_TAIL", 1e-3)
+        monkeypatch.setattr(chebyshev, "CHEBYSHEV_TAIL", 1e-3)
         prop = HamiltonianPropagator(ideal(7, 1.0, 0.05))
         with pytest.raises(PropagationError):
             prop.propagate(_random_state(np.random.default_rng(1), 7), 1.0)

@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
+from ghznet import chebyshev
+from ghznet.chebyshev import PropagationError
 from ghznet.couplings import ideal, to_dense
 from ghznet.dense import StateVector, apply_collective_rotation, all_zeros
 from ghznet.symmetric import (
@@ -18,6 +23,7 @@ from ghznet.symmetric import (
     not_all_dense,
     project,
     raising_coefficients,
+    uniform_superposition,
     w_state_dense,
 )
 
@@ -26,6 +32,26 @@ def w_unit(n, j):
     c = np.zeros(n + 1, dtype=complex)
     c[j] = 1.0
     return WBasisState(n, c)
+
+
+def reference_rotation(state, axis, angle):
+    """exp(-i (angle/2) Sigma_axis) from the full eigendecomposition of the
+    tridiagonal x generator (O(N^2) memory): the oracle for the
+    matrix-free rotations."""
+    n = state.n_qubits
+    c = state.coeffs
+    j = np.arange(n + 1)
+    if axis == "z":
+        return np.exp(-1j * (angle / 2) * (n - 2 * j)) * c
+    w, v = eigh_tridiagonal(np.zeros(n + 1), raising_coefficients(n))
+    # y generator = D^dag X D with D = diag(i^-j)
+    d = np.power(1j, -j) if axis == "y" else np.ones(n + 1)
+    return d.conjugate() * (v @ (np.exp(-1j * (angle / 2) * w) * (v.T @ (d * c))))
+
+
+def random_w_state(rng, n):
+    c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return WBasisState(n, c / np.linalg.norm(c))
 
 
 class TestWStates:
@@ -181,12 +207,51 @@ class TestCollectiveRotation:
                 dense = apply_collective_rotation(embed(w), axis, angle)
                 assert np.linalg.norm(sym.amplitudes - dense.amplitudes) <= 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        axis=st.sampled_from("xyz"),
+        angle=st.floats(-4 * np.pi, 4 * np.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_eigendecomposition(self, n, axis, angle, seed):
+        w = random_w_state(np.random.default_rng(seed), n)
+        got = collective_rotation(w, axis, angle).coeffs
+        assert np.max(np.abs(got - reference_rotation(w, axis, angle))) <= 1e-12
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_matches_eigendecomposition_n3001(self, axis):
+        w = random_w_state(np.random.default_rng(3001), 3001)
+        got = collective_rotation(w, axis, np.pi / 2).coeffs
+        assert np.max(np.abs(got - reference_rotation(w, axis, np.pi / 2))) <= 1e-12
+
+    def test_norm_drift_is_a_numerical_error(self, monkeypatch):
+        # the W-basis rotation runs the same checked expansion as the dense
+        # engine; truncated, it no longer preserves the norm
+        monkeypatch.setattr(chebyshev, "CHEBYSHEV_TAIL", 1e-3)
+        w = random_w_state(np.random.default_rng(2), 50)
+        with pytest.raises(PropagationError):
+            collective_rotation(w, "x", np.pi / 2)
+
     def test_large_n_unitary(self):
         n = 2000
         c = np.zeros(n + 1, dtype=complex)
         c[0] = 1.0
         out = collective_rotation(WBasisState(n, c), "y", np.pi / 2)
         assert abs(out.norm() - 1) <= 1e-9
+
+
+class TestUniformSuperposition:
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 1024, 1025, 3001])
+    def test_equals_y_half_pi_of_ground(self, n):
+        want = reference_rotation(w_unit(n, 0), "y", np.pi / 2)
+        assert np.max(np.abs(uniform_superposition(n).coeffs - want)) <= 1e-12
+
+    def test_finite_and_normalized_at_1e5(self):
+        # binomial_row overflows from N = 1025 on; log-gamma does not
+        c = uniform_superposition(100_000).coeffs
+        assert np.all(np.isfinite(c))
+        assert abs(np.linalg.norm(c) - 1) <= 1e-12
 
 
 class TestEmbedProject:
