@@ -5,11 +5,11 @@ spectrum lies in [c - r, c + r], with H~ = (H - c)/r,
 
     e^{-iHt} psi = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k(H~) psi
 
-(Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)).  psi is carried
-as a real (2, dim) array of its real and imaginary parts, so each term is
-one real product with H~ per part.  The expansion ends at the first
-order past r|t| whose Bessel coefficient is negligible, and the result is
-refused if it changed the norm.
+(Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)).  T_k(H~) is real,
+so psi is carried as real rows, its real part and, unless it is zero, its
+imaginary part: each term is one real product with H~ per row.  The
+expansion ends at the first order past r|t| whose Bessel coefficient is
+negligible, and the result is refused if it changed the norm.
 """
 
 from __future__ import annotations
@@ -38,12 +38,12 @@ def chebyshev_propagate(
 ) -> np.ndarray:
     """e^{-iHt} applied to the complex vector ``amplitudes``.
 
-    ``matvec`` maps a real (2, dim) array to (H - centre)/radius applied
-    to each row; the spectrum of H must lie in [centre - radius,
-    centre + radius].  The cost is about radius*|t| calls of ``matvec``;
-    callers bound it.  Raises :class:`PropagationError` when the result's
-    norm differs from the input's by more than ``CHEBYSHEV_NORM_ATOL``
-    (relative).
+    ``matvec`` maps a real (m, dim) array to (H - centre)/radius applied
+    to each row; m is 1 when ``amplitudes`` is real, else 2.  The spectrum
+    of H must lie in [centre - radius, centre + radius].  The cost is
+    about radius*|t| calls of ``matvec``; callers bound it.  Raises
+    :class:`PropagationError` when the result's norm differs from the
+    input's by more than ``CHEBYSHEV_NORM_ATOL`` (relative).
     """
     coef = _chebyshev_coefficients(radius * t)
     # (-i)^k = (-1)^(k//2) on even k and -i (-1)^(k//2) on odd k:
@@ -51,7 +51,8 @@ def chebyshev_propagate(
     coef[1:] *= 2.0
     coef[2::4] *= -1.0
     coef[3::4] *= -1.0
-    prev = np.array([amplitudes.real, amplitudes.imag])
+    real = not amplitudes.imag.any()
+    prev = np.array([amplitudes.real] if real else [amplitudes.real, amplitudes.imag])
     sums = [coef[0] * prev, np.zeros_like(prev)]
     cur = matvec(prev)
     for k in range(1, len(coef)):
@@ -62,7 +63,10 @@ def chebyshev_propagate(
             prev, cur = cur, nxt
         sums[k % 2] += coef[k] * cur
     even, odd = sums
-    out = (even[0] + odd[1]) + 1j * (even[1] - odd[0])
+    if real:
+        out = even[0] + 1j * -odd[0]
+    else:
+        out = (even[0] + odd[1]) + 1j * (even[1] - odd[0])
     out *= np.exp(-1j * centre * t)
     norm_in = np.linalg.norm(amplitudes)
     drift = abs(np.linalg.norm(out) - norm_in)

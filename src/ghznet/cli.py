@@ -189,8 +189,10 @@ def cmd_protocol(cfg: dict) -> int:
     print(json.dumps(plan.to_dict(), indent=2))
     expected = plan.expected_phase.phase
     print(f"fidelity {fid:.6f}")
-    print(f"expected phase {expected.real:+.6f}{expected.imag:+.6f}i")
-    print(f"measured phase {measured.phase.real:+.6f}{measured.phase.imag:+.6f}i")
+    for name, z in (("expected", expected), ("measured", measured.phase)):
+        # rounded, +0.0 turns a -0.0 of rounding noise into +0.000000
+        re, im = (round(float(x), 6) + 0.0 for x in (z.real, z.imag))
+        print(f"{name} phase {re:+.6f}{im:+.6f}i")
     if cfg["report_mhz"] > 0:
         t_ns = plan.entangle_duration * 1e3 / (2 * np.pi * cfg["report_mhz"])
         print(f"entangling pulse {t_ns:.3f} ns at g/2pi = {cfg['report_mhz']:g} MHz")

@@ -22,8 +22,9 @@ The dense engine's free evolution e^{-iHt} has two paths, chosen by qubit
 count alone (see :class:`HamiltonianPropagator`).  Up to N = 6, which
 covers every optimizer problem, H is diagonalized once and every apply is
 a pair of matrix products; above, e^{-iHt} is expanded in Chebyshev
-polynomials of the real sparse H at a few hundred sparse products per
-apply.  Diagonalizing costs O(8^N), and no caller applies a propagator
+polynomials of the real sparse H at a few hundred terms per apply, each
+one sparse product for the real prepared state and two for a complex
+one.  Diagonalizing costs O(8^N), and no caller applies a propagator
 above N = 6 more than once, so it would never pay for itself there.
 """
 
@@ -210,8 +211,10 @@ class HamiltonianPropagator:
       coefficients are cached too, so :meth:`propagate_prepared` is one;
     * matrix-free (above) -- H is stored as real CSR shifted and scaled to
       [-1, 1] by its Gershgorin bounds (centre c, radius r), and each apply
-      is a :func:`~ghznet.chebyshev.chebyshev_propagate` expansion, two
-      real sparse matrix-vector products per term.
+      is a :func:`~ghznet.chebyshev.chebyshev_propagate` expansion, one
+      real sparse matrix-vector product per term and per nonzero part of
+      the state: one for the real :meth:`propagate_prepared` start, two
+      for a complex state.
 
     The expansion length grows as r|t|; beyond ``MAX_CHEBYSHEV_ORDER``
     (near-degenerate couplings) a matrix-free apply raises
@@ -267,7 +270,7 @@ class HamiltonianPropagator:
         def matvec(v: np.ndarray) -> np.ndarray:
             # one single-vector product per row: scipy's multi-vector CSR
             # kernel is slower than two single-vector ones
-            return np.array([h @ v[0], h @ v[1]])
+            return np.array([h @ row for row in v])
 
         return chebyshev_propagate(matvec, self._centre, self._radius, amplitudes, t)
 

@@ -157,8 +157,8 @@ _I_POWERS = np.array([1, -1j, -1, 1j])
 
 
 def _x_generator(n: int):
-    """Matrix-free sum_k X_k / N on W coefficients, rows real and imaginary
-    parts; sum_k X_k = Sigma_+ + Sigma_- has spectrum exactly [-N, N]."""
+    """Matrix-free sum_k X_k / N on each real row of W coefficients;
+    sum_k X_k = Sigma_+ + Sigma_- has spectrum exactly [-N, N]."""
     a = raising_coefficients(n) / n
 
     def matvec(v: np.ndarray) -> np.ndarray:

@@ -111,6 +111,18 @@ class TestCommands:
         measured = [l.removeprefix("measured ") for l in lines if l.startswith("measured phase")]
         assert len(expected) == 1 and measured == expected
 
+    @pytest.mark.parametrize("g, gz", [("1", "0.05"), ("0.5", "1"), ("1", "-0.05"), ("1", "0")])
+    @pytest.mark.parametrize("n", [str(n) for n in range(2, 11)])
+    def test_protocol_engines_print_alike(self, n, g, gz, capsys):
+        # the engines agree to rounding, so no printed digit, nor the sign
+        # of a printed zero, may tell them apart
+        outs = []
+        for engine in ("dense", "symmetric"):
+            argv = ["protocol", "--n", n, "--g", g, "--gz", gz, "--engine", engine]
+            assert main(argv) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     def test_protocol_report_mhz(self, capsys):
         main(["protocol", "--n", "3", "--g", "1", "--gz", "0", "--report-mhz", "10"])
         assert "25.000 ns" in capsys.readouterr().out

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghznet.couplings import (
     CapacityError,
@@ -16,6 +18,7 @@ from ghznet.couplings import (
     to_sparse,
 )
 from ghznet.dense import pauli_on
+from ghznet.symmetric import popcounts
 
 
 def pairwise_hamiltonian(graph):
@@ -126,6 +129,20 @@ class TestDenseBuilder:
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             to_dense(ideal(15, 1.0, 0.0))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        gz=st.floats(-2.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sparse_conserves_excitation_number(self, n, gz, seed):
+        rng = np.random.default_rng(seed)
+        pairs = [(l, k) for l in range(1, n + 1) for k in range(l + 1, n + 1)]
+        graph = perturbed_general(n, 1.0, gz, {p: rng.uniform(0.01, 2.0) for p in pairs})
+        h = to_sparse(graph).toarray()
+        pop = popcounts(n)
+        assert np.all(h[pop[:, None] != pop[None, :]] == 0.0)
 
 
 class TestStarToDelta:

@@ -2,9 +2,10 @@
 
 The protocol files were written by the code before the pulse-plan
 rewrite (the N = 8 and N = 10 files before the propagation paths were
-reduced to two); the sweep CSV and the four-qubit optimizer results were
-written by the code before the objective was rebuilt on raw arrays.  A
-change that keeps behaviour keeps every byte of them.
+reduced to two, the N = 12 and N = 14 files before a real start was
+propagated on one row); the sweep CSV and the four-qubit optimizer
+results were written by the code before the objective was rebuilt on raw
+arrays.  A change that keeps behaviour keeps every byte of them.
 """
 
 from pathlib import Path
@@ -36,6 +37,9 @@ N4_MULTIPLIERS = {
         # N > 6: the Chebyshev path
         (["--n", "8", "--g", "1", "--gz", "0.05"], "protocol_n8_g1_gz0.05.txt"),
         (["--n", "10", "--g", "1", "--gz", "-0.05"], "protocol_n10_g1_gz-0.05.txt"),
+        # the largest dense runs: odd, and the strong-ZZ even family
+        (["--n", "14", "--g", "1", "--gz", "0.05"], "protocol_n14_g1_gz0.05.txt"),
+        (["--n", "12", "--g", "0.5", "--gz", "1"], "protocol_n12_g0.5_gz1.txt"),
     ],
 )
 def test_protocol_stdout(argv, name, capsys):

@@ -185,6 +185,18 @@ class TestOptimize:
         res = optimize(prob, FAST)
         assert res.fidelity >= uncorrected_fidelity(prob)
 
+    @settings(max_examples=5, deadline=None)
+    @given(
+        eta23=st.floats(0.0, 0.2),
+        eta13=st.floats(0.0, 0.2),
+        kappa=st.floats(-0.5, 0.5),
+        zz_mode=st.sampled_from(["proportional", "uniform"]),
+    )
+    def test_never_below_uncorrected(self, eta23, eta13, kappa, zz_mode):
+        prob = problem_odd(perturbed_n3(1.0, eta23, eta13, kappa, zz_mode=zz_mode))
+        res = optimize(prob, OptimizerConfig(restarts=2, max_evals=300))
+        assert res.fidelity >= uncorrected_fidelity(prob)
+
     def test_deterministic_for_fixed_seed(self):
         prob = problem_odd(perturbed_n3(1.0, 0.02, 0.06, 0.05))
         a = optimize(prob, OptimizerConfig(restarts=4, seed=3))

@@ -22,6 +22,7 @@ from ghznet.protocol import (
     PropagationError,
     ProtocolPlan,
     Pulse,
+    _prepared,
     _verify_plan,
     compile_plan,
     entangling_time,
@@ -32,7 +33,7 @@ from ghznet.protocol import (
     theta,
     verify,
 )
-from ghznet.symmetric import ghz_w_target, project
+from ghznet.symmetric import _x_generator, ghz_w_target, project
 
 
 class TestTiming:
@@ -248,6 +249,35 @@ def _random_state(rng: np.random.Generator, n: int) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
+def _random_graph(rng: np.random.Generator, n: int, gz: float):
+    pairs = [(l, k) for l in range(1, n + 1) for k in range(l + 1, n + 1)]
+    return perturbed_general(n, 1.0, gz, {p: rng.uniform(0.5, 1.5) for p in pairs})
+
+
+def _two_row_propagate(matvec, centre, radius, amplitudes, t):
+    """chebyshev_propagate as it was when every start carried a real and
+    an imaginary row: the reference a one-row result must equal bit for
+    bit (norm check left out)."""
+    coef = chebyshev._chebyshev_coefficients(radius * t)
+    coef[1:] *= 2.0
+    coef[2::4] *= -1.0
+    coef[3::4] *= -1.0
+    prev = np.array([amplitudes.real, amplitudes.imag])
+    sums = [coef[0] * prev, np.zeros_like(prev)]
+    cur = matvec(prev)
+    for k in range(1, len(coef)):
+        if k > 1:
+            nxt = matvec(cur)
+            nxt *= 2.0
+            nxt -= prev
+            prev, cur = cur, nxt
+        sums[k % 2] += coef[k] * cur
+    even, odd = sums
+    out = (even[0] + odd[1]) + 1j * (even[1] - odd[0])
+    out *= np.exp(-1j * centre * t)
+    return out
+
+
 class TestChebyshevPropagation:
     @settings(max_examples=6, deadline=None)
     @given(
@@ -258,8 +288,7 @@ class TestChebyshevPropagation:
     )
     def test_matches_eigendecomposition(self, n, gz, t, seed):
         rng = np.random.default_rng(seed)
-        pairs = [(l, k) for l in range(1, n + 1) for k in range(l + 1, n + 1)]
-        graph = perturbed_general(n, 1.0, gz, {p: rng.uniform(0.5, 1.5) for p in pairs})
+        graph = _random_graph(rng, n, gz)
         psi = _random_state(rng, n)
         prop = HamiltonianPropagator(graph)
         got = prop.propagate(psi, t)
@@ -310,3 +339,82 @@ class TestChebyshevPropagation:
         prop = HamiltonianPropagator(ideal(7, 1.0, 0.05))
         with pytest.raises(PropagationError):
             prop.propagate(_random_state(np.random.default_rng(1), 7), 1.0)
+
+    def test_norm_drift_of_a_real_start_is_a_numerical_error(self, monkeypatch):
+        # the prepared state is real, so this runs the one-row recurrence
+        assert not _prepared(7).imag.any()
+        monkeypatch.setattr(chebyshev, "CHEBYSHEV_TAIL", 1e-3)
+        prop = HamiltonianPropagator(ideal(7, 1.0, 0.05))
+        with pytest.raises(PropagationError):
+            prop.propagate_prepared(1.0)
+
+
+class TestRealStart:
+    """A real start runs one real row per term; its result is bit for bit
+    the one the real-and-imaginary recurrence gives."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        n=st.integers(7, 9),
+        gz=st.floats(-1.0, 1.0),
+        t=st.floats(-20.0, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dense_equals_two_row_loop(self, n, gz, t, seed):
+        rng = np.random.default_rng(seed)
+        prop = HamiltonianPropagator(_random_graph(rng, n, gz))
+        psi = rng.normal(size=1 << n) + 0j
+        h = prop._scaled
+
+        def matvec(v):
+            return np.array([h @ v[0], h @ v[1]])
+
+        want = _two_row_propagate(matvec, prop._centre, prop._radius, psi, t)
+        assert np.array_equal(prop.propagate(psi, t), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        t=st.floats(-2 * np.pi, 2 * np.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_w_basis_equals_two_row_loop(self, n, t, seed):
+        c = np.random.default_rng(seed).normal(size=n + 1) + 0j
+        generator = _x_generator(n)
+        rows = set()
+
+        def matvec(v):
+            rows.add(len(v))
+            return generator(v)
+
+        got = chebyshev.chebyshev_propagate(matvec, 0.0, n, c, t)
+        assert rows == {1}
+        assert np.array_equal(got, _two_row_propagate(generator, 0.0, n, c, t))
+
+    def test_complex_start_keeps_two_rows(self):
+        n = 5
+        generator = _x_generator(n)
+        rows = set()
+
+        def matvec(v):
+            rows.add(len(v))
+            return generator(v)
+
+        c = np.arange(n + 1) * (1 + 1e-3j)
+        chebyshev.chebyshev_propagate(matvec, 0.0, n, c, 0.7)
+        assert rows == {2}
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        n=st.integers(7, 9),
+        gz=st.floats(-1.0, 1.0),
+        t=st.floats(-20.0, 20.0),
+        real=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_norm_is_preserved(self, n, gz, t, real, seed):
+        rng = np.random.default_rng(seed)
+        prop = HamiltonianPropagator(_random_graph(rng, n, gz))
+        psi = rng.normal(size=1 << n) + (0j if real else 1j * rng.normal(size=1 << n))
+        norm = np.linalg.norm(psi)
+        assert abs(np.linalg.norm(prop.propagate(psi, t)) - norm) <= 1e-12 * norm
