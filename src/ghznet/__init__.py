@@ -6,7 +6,6 @@ pulse parameters when the pairwise couplings are imperfect.
 """
 
 from .couplings import (
-    CapacityError,
     CouplingGraph,
     graph_from_dict,
     graph_to_dict,
@@ -14,20 +13,16 @@ from .couplings import (
     perturbed_general,
     perturbed_n3,
     star_to_delta,
-    to_dense,
     to_sparse,
 )
 from .dense import (
-    DenseOperator,
     GlobalPhase,
     NoGlobalPhaseError,
     StateVector,
     all_zeros,
     basis_state,
-    evolve,
     fidelity_frobenius,
     global_phase_between,
-    pauli_on,
 )
 from .optimizer import (
     OptimizationProblem,
@@ -61,15 +56,12 @@ from .protocol import (
     verify,
 )
 from .symmetric import (
-    EigenvalueTable,
     WBasisState,
     analytic_eigenvalues,
     collective_rotation,
     embed,
     entangle_phases,
     ghz_w_target,
-    ladder_apply,
-    project,
     w_state_dense,
 )
 

@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from .couplings import ideal, perturbed_n3, star_to_delta, to_dense
+from .couplings import ideal, perturbed_n3, star_to_delta, to_sparse
 from .dense import NoGlobalPhaseError, StateVector
 from .optimizer import (
     OptimizerConfig,
@@ -160,10 +160,10 @@ def _state_lines(psi: StateVector) -> list[str]:
 
 def cmd_eigs(cfg: dict) -> int:
     n, g, gz = cfg["n_qubits"], cfg["g"], cfg["gz"]
-    table = analytic_eigenvalues(n, g, gz)
+    lam = analytic_eigenvalues(n, g, gz)
     numeric = None
     if n <= 10:
-        h = to_dense(ideal(n, g, gz)).matrix
+        h = to_sparse(ideal(n, g, gz)).toarray().astype(complex)
         numeric = []
         for j in range(n + 1):
             w = w_state_dense(n, j).amplitudes
@@ -171,10 +171,10 @@ def cmd_eigs(cfg: dict) -> int:
     lines = ["j,lambda_analytic,lambda_numeric,abs_diff"]
     for j in range(n + 1):
         if numeric is None:
-            lines.append(f"{j},{table.lam[j]:.12g},,")
+            lines.append(f"{j},{lam[j]:.12g},,")
         else:
-            diff = abs(table.lam[j] - numeric[j])
-            lines.append(f"{j},{table.lam[j]:.12g},{numeric[j]:.12g},{diff:.3e}")
+            diff = abs(lam[j] - numeric[j])
+            lines.append(f"{j},{lam[j]:.12g},{numeric[j]:.12g},{diff:.3e}")
     with open(cfg["out"], "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {cfg['out']} ({n + 1} eigenvalues)")
@@ -183,6 +183,8 @@ def cmd_eigs(cfg: dict) -> int:
 
 def cmd_protocol(cfg: dict) -> int:
     n, g, gz = cfg["n_qubits"], cfg["g"], cfg["gz"]
+    if cfg["report_mhz"] < 0:
+        raise ConfigError(f"report_mhz must be >= 0 (0 = off), got {cfg['report_mhz']}")
     plan = compile_plan(n, g, gz)
     # run first, so a rejected engine or a failed run prints no plan
     fid, measured = _verify_plan(plan, g, gz, cfg["engine"])

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .dense import MAX_DENSE_QUBITS, DenseOperator
-
 PairMap = dict[tuple[int, int], float]
-
-
-class CapacityError(ValueError):
-    """Graph too large for the requested dense representation."""
 
 
 def _all_pairs(n: int) -> list[tuple[int, int]]:
@@ -76,15 +70,16 @@ def perturbed_n3(
     """Three-qubit network with bond (1,2) as reference and weakened other bonds.
 
     XY couplings: g12 on (1,2), g12(1 - eta23) on (2,3), g12(1 - eta13) on
-    (1,3).  The ZZ couplings sit at ratio kappa of the XY couplings:
+    (1,3); each deficit lies in [0, 1), so every bond stays positive.  The
+    ZZ couplings sit at ratio kappa of the XY couplings:
     ``zz_mode="proportional"`` scales each bond's own XY value (each pair
     keeps the same anisotropy ratio), while ``zz_mode="uniform"`` puts
     kappa*g12 on every pair.
     """
     if g12 <= 0:
         raise ValueError(f"reference coupling must be positive, got {g12}")
-    if eta23 < 0 or eta13 < 0:
-        raise ValueError("coupling deficits eta must be nonnegative")
+    if not (0 <= eta23 < 1 and 0 <= eta13 < 1):
+        raise ValueError(f"coupling deficits eta must lie in [0, 1), got {eta23}, {eta13}")
     xy = {(1, 2): g12, (2, 3): g12 * (1.0 - eta23), (1, 3): g12 * (1.0 - eta13)}
     if zz_mode == "proportional":
         zz = {p: kappa * v for p, v in xy.items()}
@@ -154,16 +149,6 @@ def to_sparse(graph: CouplingGraph) -> csr_matrix:
     )
     mat.sum_duplicates()
     return mat
-
-
-def to_dense(graph: CouplingGraph) -> DenseOperator:
-    """Dense Hermitian exchange Hamiltonian; capped at the dense-engine size."""
-    if graph.n_qubits > MAX_DENSE_QUBITS:
-        raise CapacityError(
-            f"dense Hamiltonian limited to {MAX_DENSE_QUBITS} qubits, "
-            f"got {graph.n_qubits}"
-        )
-    return DenseOperator(1 << graph.n_qubits, to_sparse(graph).toarray(), hermitian=True)
 
 
 def star_to_delta(c_star: float, n: int) -> float:

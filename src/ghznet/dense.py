@@ -1,4 +1,4 @@
-"""Dense 2^N statevector engine: operators, exact Hermitian evolution, metrics.
+"""Dense 2^N statevector engine: states, single-qubit rotations, metrics.
 
 Basis conventions
 -----------------
@@ -9,20 +9,20 @@ the most significant position, so ``|x_1 x_2 ... x_N>`` sits at index
 One Pauli convention is used throughout: the standard computational-basis
 triple returned by :func:`rotation_generator` (``z`` diagonal ``(+1, -1)``,
 ``sigma_x sigma_y = i sigma_z`` cyclically), so that a y-rotation by pi/2
-maps ``|0>`` to ``(|0> + |1>)/sqrt(2)``.  :func:`pauli_on` embeds the same
-matrices on one qubit of an N-qubit register.
+maps ``|0>`` to ``(|0> + |1>)/sqrt(2)``.  Every rotation of a 2^N state
+goes through :func:`rotate_amplitudes`, one 2x2 product on one qubit; the
+free evolution e^{-iHt} lives in :class:`ghznet.protocol.HamiltonianPropagator`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 MAX_DENSE_QUBITS = 14
 
 NORM_ATOL = 1e-12
-HERMITIAN_ATOL = 1e-12
 PHASE_OVERLAP_ATOL = 1e-6
 
 _IDENTITY = np.eye(2, dtype=complex)
@@ -64,35 +64,6 @@ class StateVector:
 
 
 @dataclass(frozen=True)
-class DenseOperator:
-    """Square complex matrix with an optional Hermiticity guarantee."""
-
-    dim: int
-    matrix: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (self.dim, self.dim):
-            raise ValueError(f"matrix shape {mat.shape} != ({self.dim}, {self.dim})")
-        if self.hermitian:
-            defect = np.max(np.abs(mat - mat.conj().T))
-            if defect > HERMITIAN_ATOL:
-                raise ValueError(f"hermitian flag set but max|M - M^dag| = {defect:g}")
-        object.__setattr__(self, "matrix", mat)
-
-    def apply(self, state: StateVector) -> StateVector:
-        if state.dim != self.dim:
-            raise ValueError(f"dimension mismatch: state {state.dim}, operator {self.dim}")
-        return StateVector(state.n_qubits, self.matrix @ state.amplitudes)
-
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return DenseOperator(self.dim, self.matrix @ other.matrix)
-
-
-@dataclass(frozen=True)
 class GlobalPhase:
     """A unit-modulus complex scalar relating two phase-equivalent states."""
 
@@ -116,25 +87,6 @@ def basis_state(n: int, bits: str) -> StateVector:
 
 def all_zeros(n: int) -> StateVector:
     return basis_state(n, "0" * n)
-
-
-def _embed_single(n: int, k: int, u: np.ndarray) -> np.ndarray:
-    """Kron-expand a 2x2 matrix acting on qubit k (1-based) into 2^n x 2^n."""
-    out = np.array([[1.0 + 0.0j]])
-    for q in range(1, n + 1):
-        out = np.kron(out, u if q == k else np.eye(2, dtype=complex))
-    return out
-
-
-def pauli_on(n: int, k: int, axis: str) -> DenseOperator:
-    """Pauli operator on qubit ``k``, identity elsewhere.
-
-    ``sigma_z|0> = +|0>`` and ``sigma_z|1> = -|1>``; the triple obeys
-    ``sigma_x sigma_y = i sigma_z`` and cyclic permutations.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"qubit index {k} out of range 1..{n}")
-    return DenseOperator(1 << n, _embed_single(n, k, rotation_generator(axis)), hermitian=True)
 
 
 def rotation_generator(axis: str) -> np.ndarray:
@@ -182,23 +134,6 @@ def apply_collective_rotation(state: StateVector, axis: str, angle: float) -> St
     for k in range(1, state.n_qubits + 1):
         state = apply_single_qubit(state, k, u)
     return state
-
-
-def rotation_on(n: int, k: int, axis: str, angle: float) -> DenseOperator:
-    """Dense single-qubit rotation operator."""
-    return DenseOperator(1 << n, _embed_single(n, k, single_qubit_rotation(axis, angle)))
-
-
-def evolve(state: StateVector, h: DenseOperator, t: float) -> StateVector:
-    """Return exp(-i h t)|state> via eigendecomposition of the Hermitian h."""
-    if not h.hermitian:
-        raise ValueError("evolve requires an operator constructed as Hermitian")
-    if h.dim != state.dim:
-        raise ValueError(f"dimension mismatch: state {state.dim}, operator {h.dim}")
-    w, v = np.linalg.eigh(h.matrix)
-    phases = np.exp(-1j * w * t)
-    out = v @ (phases * (v.conj().T @ state.amplitudes))
-    return StateVector(state.n_qubits, out)
 
 
 def fidelity_frobenius(psi: StateVector, target: StateVector, align_phase: bool) -> float:

@@ -122,6 +122,11 @@ class OptimizerConfig:
     restarts: int = 8
     seed: int = 0
 
+    def __post_init__(self):
+        # no evaluation means no start-0 result to fall back on
+        if self.max_evals < 1:
+            raise ValueError(f"max_evals must be >= 1, got {self.max_evals}")
+
 
 @dataclass(frozen=True)
 class OptimizationResult:

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .chebyshev import chebyshev_propagate
-from .dense import MAX_DENSE_QUBITS, StateVector, pauli_on
+from .dense import MAX_DENSE_QUBITS, StateVector
 
 
 def binomial_row(n: int) -> np.ndarray:
@@ -65,23 +65,7 @@ class WBasisState:
         return float(np.linalg.norm(self.coeffs))
 
 
-@dataclass(frozen=True)
-class EigenvalueTable:
-    """Exchange-Hamiltonian eigenvalues on the W ladder for given couplings."""
-
-    n_qubits: int
-    g: float
-    gz: float
-    lam: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        if lam.shape != (self.n_qubits + 1,):
-            raise ValueError("eigenvalue table has wrong length")
-        object.__setattr__(self, "lam", lam)
-
-
-def analytic_eigenvalues(n: int, g: float, gz: float) -> EigenvalueTable:
+def analytic_eigenvalues(n: int, g: float, gz: float) -> np.ndarray:
     """lambda_j = j(N-j)(g - gz) + C(N,2) gz/2 for j = 0..N.
 
     The ground/ceiling value lambda_0 = lambda_N = C(N,2) gz/2 is the
@@ -92,8 +76,7 @@ def analytic_eigenvalues(n: int, g: float, gz: float) -> EigenvalueTable:
         raise ValueError("need at least 2 qubits")
     j = np.arange(n + 1, dtype=float)
     pairs = 0.5 * n * (n - 1)
-    lam = j * (n - j) * (g - gz) + pairs * (gz / 2.0)
-    return EigenvalueTable(n, g, gz, lam)
+    return j * (n - j) * (g - gz) + pairs * (gz / 2.0)
 
 
 def w_state_dense(n: int, j: int) -> StateVector:
@@ -125,31 +108,14 @@ def raising_coefficients(n: int) -> np.ndarray:
     return np.sqrt((n - j) * (j + 1))
 
 
-def ladder_apply(state: WBasisState, which: str) -> WBasisState:
-    """Apply Sigma_+, Sigma_- or Sigma_z; result is generally unnormalized."""
-    n = state.n_qubits
-    c = state.coeffs
-    out = np.zeros_like(c)
-    if which == "plus":
-        a = raising_coefficients(n)
-        out[1:] = a * c[:-1]
-    elif which == "minus":
-        j = np.arange(1, n + 1, dtype=float)
-        b = np.sqrt(j * (n - j + 1))
-        out[:-1] = b * c[1:]
-    elif which == "z":
-        j = np.arange(n + 1, dtype=float)
-        out = (2 * j - n) * c
-    else:
-        raise ValueError(f"which must be plus, minus or z, got {which!r}")
-    return WBasisState(n, out)
-
-
-def entangle_phases(state: WBasisState, table: EigenvalueTable, t: float) -> WBasisState:
-    """Free evolution in the W basis: coeff_j -> exp(-i lambda_j t) coeff_j."""
-    if table.n_qubits != state.n_qubits:
-        raise ValueError("qubit count mismatch between state and eigenvalue table")
-    return WBasisState(state.n_qubits, np.exp(-1j * table.lam * t) * state.coeffs)
+def entangle_phases(state: WBasisState, lam: np.ndarray, t: float) -> WBasisState:
+    """Free evolution in the W basis: coeff_j -> exp(-i lambda_j t) coeff_j,
+    with ``lam`` the N+1 eigenvalues of :func:`analytic_eigenvalues`."""
+    if len(lam) != state.n_qubits + 1:
+        raise ValueError(
+            f"{len(lam)} eigenvalues for a {state.n_qubits}-qubit W-basis state"
+        )
+    return WBasisState(state.n_qubits, np.exp(-1j * lam * t) * state.coeffs)
 
 
 # i^-j for j mod 4, exact (a complex power of 1j drifts at large j)
@@ -216,52 +182,9 @@ def embed(state: WBasisState) -> StateVector:
     return StateVector(n, weights[pop].astype(complex))
 
 
-def project(state: StateVector) -> tuple[WBasisState, float]:
-    """W-basis coefficients <W_j|psi> and the norm outside the symmetric subspace."""
-    n = state.n_qubits
-    pop = popcounts(n)
-    sums = np.zeros(n + 1, dtype=complex)
-    np.add.at(sums, pop, state.amplitudes)
-    coeffs = sums / np.sqrt(binomial_row(n))
-    w = WBasisState(n, coeffs)
-    residual = state.amplitudes - embed(w).amplitudes
-    return w, float(np.linalg.norm(residual))
-
-
 def ghz_w_target(n: int) -> WBasisState:
     """The GHZ state in the W basis: 1/sqrt(2) at j = 0 and j = N."""
     c = np.zeros(n + 1, dtype=complex)
     c[0] = c[n] = 1.0 / np.sqrt(2.0)
     return WBasisState(n, c)
 
-
-# ---------------------------------------------------------------------------
-# dense collective operators, used to cross-check the ladder algebra
-
-
-def collective_ladder_dense(n: int, which: str) -> np.ndarray:
-    """Dense Sigma_+/Sigma_-/Sigma_z built from single-qubit Paulis."""
-    dim = 1 << n
-    out = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, n + 1):
-        sx = pauli_on(n, k, "x").matrix
-        sy = pauli_on(n, k, "y").matrix
-        sz = pauli_on(n, k, "z").matrix
-        if which == "plus":
-            out += 0.5 * (sx - 1j * sy)
-        elif which == "minus":
-            out += 0.5 * (sx + 1j * sy)
-        elif which == "z":
-            out -= sz
-        else:
-            raise ValueError(f"which must be plus, minus or z, got {which!r}")
-    return out
-
-
-def not_all_dense(n: int) -> np.ndarray:
-    """X tensor ... tensor X (global bit flip)."""
-    out = np.array([[1.0 + 0.0j]])
-    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    for _ in range(n):
-        out = np.kron(out, x)
-    return out

@@ -127,6 +127,13 @@ class TestCommands:
         main(["protocol", "--n", "3", "--g", "1", "--gz", "0", "--report-mhz", "10"])
         assert "25.000 ns" in capsys.readouterr().out
 
+    def test_protocol_negative_report_mhz_is_input_error(self, capsys):
+        argv = ["protocol", "--n", "3", "--g", "1", "--gz", "0", "--report-mhz", "-5"]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().out == ""
+        assert main(argv[:-2] + ["--report-mhz", "0"]) == EXIT_OK
+        assert "entangling pulse" not in capsys.readouterr().out
+
     def test_protocol_degenerate_is_input_error(self, capsys):
         assert main(["protocol", "--n", "3", "--g", "1", "--gz", "1"]) == EXIT_INPUT
 
@@ -159,6 +166,15 @@ class TestCommands:
         state_rows = lines[lines.index("index,bitstring,real,imag") + 1 :]
         assert len(state_rows) == 8
         assert state_rows[0].split(",")[1] == "000"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--max-evals", "0"], ["--eta13", "1.5"], ["--eta23", "1"]],
+    )
+    def test_optimize_bad_input_is_input_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "opt.csv"
+        assert main(["optimize", *argv, "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
 
     def test_optimize_byte_stable(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghznet.couplings import (
-    CapacityError,
     CouplingGraph,
     graph_from_dict,
     graph_to_dict,
@@ -14,11 +13,10 @@ from ghznet.couplings import (
     perturbed_general,
     perturbed_n3,
     star_to_delta,
-    to_dense,
     to_sparse,
 )
-from ghznet.dense import pauli_on
 from ghznet.symmetric import popcounts
+from reference import CapacityError, pauli_on, to_dense
 
 
 def pairwise_hamiltonian(graph):
@@ -63,6 +61,15 @@ class TestConstructors:
             perturbed_n3(0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             perturbed_n3(1.0, -0.1, 0.0, 0.0)
+
+    @pytest.mark.parametrize("deficit", [1.0, 1.5])
+    def test_perturbed_n3_deficit_below_one(self, deficit):
+        # a deficit of 1 or more leaves a zero or negative XY bond
+        with pytest.raises(ValueError, match="eta"):
+            perturbed_n3(1.0, deficit, 0.0, 0.0)
+        with pytest.raises(ValueError, match="eta"):
+            perturbed_n3(1.0, 0.0, deficit, 0.0)
+        assert perturbed_n3(1.0, 0.999, 0.999, 0.0).xy[(2, 3)] > 0
 
     def test_perturbed_general_matches_n3_uniform(self):
         mult = {(1, 2): 1.0, (2, 3): 0.98, (1, 3): 0.94}

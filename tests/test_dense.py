@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghznet.dense import (
-    DenseOperator,
     GlobalPhase,
     NoGlobalPhaseError,
     StateVector,
@@ -15,13 +14,11 @@ from ghznet.dense import (
     apply_rotation,
     apply_single_qubit,
     basis_state,
-    evolve,
     fidelity_frobenius,
     global_phase_between,
-    pauli_on,
-    rotation_on,
     single_qubit_rotation,
 )
+from reference import DenseOperator, evolve, pauli_on, rotation_on
 
 
 def random_state(n, rng):

@@ -197,6 +197,13 @@ class TestOptimize:
         res = optimize(prob, OptimizerConfig(restarts=2, max_evals=300))
         assert res.fidelity >= uncorrected_fidelity(prob)
 
+    @pytest.mark.parametrize("max_evals", [0, -1])
+    def test_no_evaluation_budget_rejected(self, max_evals):
+        # without one evaluation start 0 is never scored, and the result
+        # could fall below the uncorrected fidelity
+        with pytest.raises(ValueError, match="max_evals"):
+            OptimizerConfig(max_evals=max_evals)
+
     def test_deterministic_for_fixed_seed(self):
         prob = problem_odd(perturbed_n3(1.0, 0.02, 0.06, 0.05))
         a = optimize(prob, OptimizerConfig(restarts=4, seed=3))

@@ -6,12 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ghznet import chebyshev
-from ghznet.couplings import ideal, perturbed_general, perturbed_n3, to_dense
+from ghznet.couplings import ideal, perturbed_general, perturbed_n3
 from ghznet.dense import (
     StateVector,
     all_zeros,
     apply_collective_rotation,
-    evolve,
     fidelity_frobenius,
 )
 from ghznet.protocol import (
@@ -33,7 +32,8 @@ from ghznet.protocol import (
     theta,
     verify,
 )
-from ghznet.symmetric import _x_generator, ghz_w_target, project
+from ghznet.symmetric import _x_generator, ghz_w_target
+from reference import evolve, project, to_dense
 
 
 class TestTiming:

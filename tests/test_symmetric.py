@@ -8,24 +8,21 @@ from scipy.linalg import eigh_tridiagonal
 
 from ghznet import chebyshev
 from ghznet.chebyshev import PropagationError
-from ghznet.couplings import ideal, to_dense
+from ghznet.couplings import ideal
 from ghznet.dense import StateVector, apply_collective_rotation, all_zeros
 from ghznet.symmetric import (
     WBasisState,
     analytic_eigenvalues,
     binomial_row,
-    collective_ladder_dense,
     collective_rotation,
     embed,
     entangle_phases,
     ghz_w_target,
-    ladder_apply,
-    not_all_dense,
-    project,
     raising_coefficients,
     uniform_superposition,
     w_state_dense,
 )
+from reference import collective_ladder_dense, ladder_apply, not_all_dense, project, to_dense
 
 
 def w_unit(n, j):
@@ -97,26 +94,26 @@ class TestBinomials:
 class TestEigenvalues:
     def test_ground_energy(self):
         for n, gz in [(3, 0.4), (7, -0.2), (10, 0.0)]:
-            table = analytic_eigenvalues(n, 1.0, gz)
-            assert table.lam[0] == pytest.approx(n * (n - 1) / 2 * gz / 2)
+            lam = analytic_eigenvalues(n, 1.0, gz)
+            assert lam[0] == pytest.approx(n * (n - 1) / 2 * gz / 2)
 
     def test_n3_xx_only(self):
-        assert np.allclose(analytic_eigenvalues(3, 1, 0).lam, [0, 2, 2, 0])
+        assert np.allclose(analytic_eigenvalues(3, 1, 0), [0, 2, 2, 0])
 
     def test_n4_mixed(self):
-        table = analytic_eigenvalues(4, 1, 0.1)
-        assert table.lam[1] == pytest.approx(3 * 0.9 + 6 * 0.05)
+        lam = analytic_eigenvalues(4, 1, 0.1)
+        assert lam[1] == pytest.approx(3 * 0.9 + 6 * 0.05)
 
     def test_mirror_symmetry_exact(self):
-        table = analytic_eigenvalues(9, 0.37, -0.83)
-        assert np.array_equal(table.lam, table.lam[::-1])
+        lam = analytic_eigenvalues(9, 0.37, -0.83)
+        assert np.array_equal(lam, lam[::-1])
 
     def test_w_states_are_eigenvectors(self):
         rng = np.random.default_rng(11)
         for n in (2, 4, 6):
             g, gz = rng.normal(), rng.normal()
             h = to_dense(ideal(n, g, gz)).matrix
-            lam = analytic_eigenvalues(n, g, gz).lam
+            lam = analytic_eigenvalues(n, g, gz)
             for j in range(n + 1):
                 w = w_state_dense(n, j).amplitudes
                 assert np.linalg.norm(h @ w - lam[j] * w) <= 1e-10
@@ -157,9 +154,9 @@ class TestLadder:
 
 class TestEntanglePhases:
     def test_zero_time_identity(self):
-        table = analytic_eigenvalues(4, 1, 0.1)
+        lam = analytic_eigenvalues(4, 1, 0.1)
         w = WBasisState(4, np.full(5, 1 / np.sqrt(5), dtype=complex))
-        out = entangle_phases(w, table, 0.0)
+        out = entangle_phases(w, lam, 0.0)
         assert np.allclose(out.coeffs, w.coeffs)
 
     def test_ghz_time_phase_pattern(self):
@@ -167,20 +164,25 @@ class TestEntanglePhases:
         # e^{-i lambda_0 t} (-i)^{j(N-j)}
         n, g, gz = 5, 1.0, 0.2
         t = np.pi / (2 * (g - gz))
-        table = analytic_eigenvalues(n, g, gz)
+        lam = analytic_eigenvalues(n, g, gz)
         c = np.sqrt(binomial_row(n)).astype(complex) / 2 ** (n / 2)
-        out = entangle_phases(WBasisState(n, c), table, t)
+        out = entangle_phases(WBasisState(n, c), lam, t)
         j = np.arange(n + 1)
-        expect = np.exp(-1j * table.lam[0] * t) * (-1j) ** (j * (n - j)) * c
+        expect = np.exp(-1j * lam[0] * t) * (-1j) ** (j * (n - j)) * c
         assert np.max(np.abs(out.coeffs - expect)) <= 1e-12
 
     def test_isotropic_point_is_stationary(self):
         n, g = 4, 0.7
-        table = analytic_eigenvalues(n, g, g)
+        lam = analytic_eigenvalues(n, g, g)
         c = np.sqrt(binomial_row(n)).astype(complex) / 2 ** (n / 2)
-        out = entangle_phases(WBasisState(n, c), table, 2.31)
+        out = entangle_phases(WBasisState(n, c), lam, 2.31)
         overlap = np.vdot(c, out.coeffs)
         assert abs(abs(overlap) - 1) <= 1e-12
+
+    def test_eigenvalue_count_mismatch_rejected(self):
+        w = WBasisState(4, np.full(5, 1 / np.sqrt(5), dtype=complex))
+        with pytest.raises(ValueError):
+            entangle_phases(w, analytic_eigenvalues(5, 1, 0.1), 1.0)
 
 
 class TestCollectiveRotation:
