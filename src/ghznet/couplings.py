@@ -46,10 +46,11 @@ class CouplingGraph:
                     f"{name} map must cover exactly the {len(pairs)} pairs (l, k) with l < k"
                 )
 
-    def is_ideal(self, atol: float = 0.0) -> bool:
+    def is_ideal(self) -> bool:
         """True when every pair sits exactly at the reference couplings."""
+        # a zero difference, not ==, so that an infinite coupling is never ideal
         return all(
-            abs(self.xy[p] - self.g_ref) <= atol and abs(self.zz[p] - self.gz_ref) <= atol
+            abs(self.xy[p] - self.g_ref) <= 0 and abs(self.zz[p] - self.gz_ref) <= 0
             for p in _all_pairs(self.n_qubits)
         )
 

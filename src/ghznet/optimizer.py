@@ -20,14 +20,14 @@ strong-ZZ correction, keeps its compiled value.  Three families:
 
 A problem is built once per graph and holds everything an evaluation
 does not change: the graph's propagator with the prepared state already
-in its eigenbasis, each final pulse as its qubits plus either its fixed
-2x2 matrix or the index of its parameter, the GHZ target amplitudes and
-the conjugated expected phase.  One evaluation then propagates the
-prepared state for the trial time, rotates the raw amplitude vector
-pulse by pulse (a 2x2 matrix per free angle), strips the expected phase
-and takes the phase-aligned Frobenius distance to the target -- the same
-floating-point operations, in the same order, as running ``plan_for``'s
-plan through :func:`~ghznet.protocol.execute` and
+in its eigenbasis, the 2x2 matrix of each final pulse at its compiled
+angle, the GHZ target amplitudes and the conjugated expected phase.  One
+evaluation propagates the prepared state for the trial time, swaps in
+the free pulses' matrices at the trial angles, rotates the raw amplitudes
+with :func:`~ghznet.protocol.rotate_pulses`, strips the expected phase
+and takes the phase-aligned Frobenius distance to the target -- the
+floating-point operations, in order, of running ``plan_for``'s plan
+through :func:`~ghznet.protocol.execute` and
 :func:`~ghznet.dense.fidelity_frobenius`, so the results agree bit for
 bit.
 """
@@ -41,12 +41,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .couplings import CouplingGraph, perturbed_n3
-from .dense import (
-    StateVector,
-    fidelity_frobenius_raw,
-    rotate_amplitudes,
-    single_qubit_rotation,
-)
+from .dense import StateVector, fidelity_frobenius_raw, single_qubit_rotation
 from .protocol import (
     HamiltonianPropagator,
     ProtocolPlan,
@@ -54,6 +49,7 @@ from .protocol import (
     compile_plan,
     entangling_time,
     ghz_target,
+    rotate_pulses,
 )
 
 SWEEP_COLUMNS = ("eta13", "t_ratio", "alpha1", "alpha2", "alpha3", "F_opt", "F_uncorrected")
@@ -77,9 +73,8 @@ class OptimizationProblem:
     lower: np.ndarray
     upper: np.ndarray
     _propagator: HamiltonianPropagator = field(repr=False, compare=False)
-    # per final pulse: (qubits, axis, its fixed 2x2 matrix or the index of
-    # its angle in a parameter vector)
-    _finals: tuple = field(repr=False, compare=False)
+    # the 2x2 matrix of each pulse in plan.finals at its compiled angle
+    _matrices: list = field(repr=False, compare=False)
     _target: np.ndarray = field(repr=False, compare=False)
     _phase_conj: complex = field(repr=False, compare=False)
 
@@ -103,15 +98,13 @@ class OptimizationProblem:
 
     def _state(self, params: np.ndarray) -> np.ndarray:
         """Amplitudes of :meth:`run` without building a plan or a state."""
-        n = self.n_qubits
-        amps = self._propagator.propagate_prepared(float(params[0]))
-        for qubits, axis, pulse in self._finals:
-            if isinstance(pulse, int):
-                u = single_qubit_rotation(axis, float(params[pulse]))
-            else:
-                u = pulse
-            for k in qubits:
-                amps = rotate_amplitudes(amps, n, k, u)
+        t, *angles = params.tolist()
+        finals = self.plan.finals
+        us = list(self._matrices)
+        for i, angle in zip(self.free, angles):
+            us[i] = single_qubit_rotation(finals[i].axis, angle)
+        amps = self._propagator.propagate_prepared(t)
+        amps = rotate_pulses(amps, self.n_qubits, finals, us)
         return amps * self._phase_conj
 
 
@@ -146,16 +139,6 @@ def _make_problem(
     ideal_params = np.array([t_ideal] + [plan.finals[i].angle for i in free])
     lower = np.concatenate([[0.5 * t_ideal], np.zeros(len(free))])
     upper = np.concatenate([[1.5 * t_ideal], np.full(len(free), angle_upper)])
-    # parameter 0 is the entangling time, parameter j + 1 the j-th free angle
-    param_of = {i: j + 1 for j, i in enumerate(free)}
-    finals = tuple(
-        (
-            tuple(range(1, n + 1)) if p.qubit is None else (p.qubit,),
-            p.axis,
-            param_of[i] if i in param_of else single_qubit_rotation(p.axis, p.angle),
-        )
-        for i, p in enumerate(plan.finals)
-    )
     return OptimizationProblem(
         graph=graph,
         plan=plan,
@@ -164,7 +147,7 @@ def _make_problem(
         lower=lower,
         upper=upper,
         _propagator=HamiltonianPropagator(graph),
-        _finals=finals,
+        _matrices=[single_qubit_rotation(p.axis, p.angle) for p in plan.finals],
         _target=ghz_target(n).state.amplitudes,
         _phase_conj=plan.expected_phase.phase.conjugate(),
     )
@@ -293,17 +276,20 @@ def sweep(
 
     Each row reports the time ratio t_opt / (pi / (2 g12 (1 - kappa))),
     the three final x angles in units of pi/2, the optimized fidelity and
-    the uncorrected fidelity.  A row whose optimization fails is marked
-    with ``error`` instead of being dropped.
+    the uncorrected fidelity.  Every problem is built before the first
+    optimization, so bad input (a deficit outside [0, 1), g = gz) raises
+    ``ValueError`` and no row is returned; a row whose optimization fails
+    is marked with ``error`` instead of being dropped.
     """
+    etas = [float(eta13) for eta13 in eta13_values]
+    graphs = (perturbed_n3(g12, eta23, eta13, kappa, zz_mode=zz_mode) for eta13 in etas)
+    problems = [problem_odd(graph) for graph in graphs]
     rows = []
-    for eta13 in eta13_values:
-        row: dict = {"eta13": float(eta13)}
+    for eta13, problem in zip(etas, problems):
+        row: dict = {"eta13": eta13}
         try:
-            graph = perturbed_n3(g12, eta23, float(eta13), kappa, zz_mode=zz_mode)
-            problem = problem_odd(graph)
             result = optimize(problem, config)
-            t_ref = entangling_time(graph.g_ref, graph.gz_ref)
+            t_ref = entangling_time(problem.graph.g_ref, problem.graph.gz_ref)
             row.update(
                 t_ratio=result.t_opt / t_ref,
                 alpha1=result.angles_opt[0] / (np.pi / 2),

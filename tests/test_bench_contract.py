@@ -34,5 +34,8 @@ def test_warmups_reach_every_counted_layer(bench_modules, tmp_path):
         "couplings.to_sparse_calls",
         "dense.rotation_calls",
         "symmetric.collective_rotation_calls",
+        "protocol.propagator_build_calls",
+        "protocol.compile_plan_calls",
+        "optimizer.objective_calls",
     ):
         assert metrics[layer] > 0, layer

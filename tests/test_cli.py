@@ -184,6 +184,21 @@ class TestCommands:
         main(["optimize", "--config", str(cfg), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--eta23", "1.5", "--eta13-steps", "2"],
+            ["--eta13-stop", "1.2"],
+            # g = gz
+            ["--kappa", "1", "--eta13-steps", "2"],
+        ],
+    )
+    def test_sweep_bad_input_is_input_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
     def test_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
         cfg = tmp_path / "cfg.json"

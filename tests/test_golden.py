@@ -5,16 +5,20 @@ rewrite (the N = 8 and N = 10 files before the propagation paths were
 reduced to two, the N = 12 and N = 14 files before a real start was
 propagated on one row); the sweep CSV and the four-qubit optimizer
 results were written by the code before the objective was rebuilt on raw
+arrays; ``execute_bits.txt`` holds the sha256 of every ideal ``execute``
+state for N = 2..9 on both engines, written before ``execute`` rotated raw
 arrays.  A change that keeps behaviour keeps every byte of them.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from ghznet.cli import EXIT_OK, main
-from ghznet.couplings import perturbed_general
+from ghznet.couplings import ideal, perturbed_general
 from ghznet.optimizer import optimize, optimize_restricted_n4, problem_even_full
+from ghznet.protocol import compile_plan, execute
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -78,3 +82,24 @@ def n4_results_text() -> str:
 
 def test_n4_optimizer_results():
     assert n4_results_text().encode() == (GOLDEN / "optimize_n4.txt").read_bytes()
+
+
+# (g, gz): odd/even weak ZZ, the strong-ZZ even family, negative ZZ
+EXECUTE_COUPLINGS = [(1.0, 0.05), (0.5, 1.0), (1.0, -0.05)]
+
+
+def execute_bits_text() -> str:
+    """sha256 of the raw amplitude bytes of every ideal run, N = 2..9."""
+    lines = []
+    for n in range(2, 10):
+        for g, gz in EXECUTE_COUPLINGS:
+            plan = compile_plan(n, g, gz)
+            for engine in ("dense", "symmetric"):
+                amps = execute(plan, ideal(n, g, gz), engine=engine).amplitudes
+                digest = hashlib.sha256(amps.tobytes()).hexdigest()
+                lines.append(f"{n} {g!r} {gz!r} {engine} {digest}")
+    return "\n".join(lines) + "\n"
+
+
+def test_execute_bits():
+    assert execute_bits_text().encode() == (GOLDEN / "execute_bits.txt").read_bytes()

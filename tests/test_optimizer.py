@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghznet import optimizer
+from ghznet.chebyshev import PropagationError
 from ghznet.couplings import ideal, perturbed_general, perturbed_n3
 from ghznet.optimizer import (
     OptimizerConfig,
@@ -232,11 +233,30 @@ class TestSweep:
             assert r["error"] == ""
             assert r["F_opt"] >= r["F_uncorrected"]
 
-    def test_failed_row_is_marked_not_dropped(self):
-        # a negative deficit is rejected by the graph constructor
-        rows = sweep([-0.5, 0.02], config=FAST)
-        assert rows[0]["error"] != "" and np.isnan(rows[0]["F_opt"])
+    def test_failed_row_is_marked_not_dropped(self, monkeypatch):
+        real_optimize = optimizer.optimize
+
+        def fails_without_deficit(problem, config):
+            graph = problem.graph
+            if graph.xy[(1, 3)] == graph.g_ref:
+                raise PropagationError("no convergence")
+            return real_optimize(problem, config)
+
+        monkeypatch.setattr(optimizer, "optimize", fails_without_deficit)
+        rows = sweep([0.0, 0.02], config=FAST)
+        assert rows[0]["error"].startswith("PropagationError")
+        assert np.isnan(rows[0]["F_opt"])
         assert rows[1]["error"] == ""
+
+    @pytest.mark.parametrize(
+        "etas, kappa", [([0.02, -0.5], 0.05), ([0.02, 1.2], 0.05), ([0.02], 1.0)]
+    )
+    def test_bad_input_rejected_before_any_optimization(self, etas, kappa, monkeypatch):
+        calls = []
+        monkeypatch.setattr(optimizer, "optimize", lambda *args: calls.append(args))
+        with pytest.raises(ValueError):
+            sweep(etas, kappa=kappa, config=FAST)
+        assert calls == []
 
     def test_unexpected_error_propagates(self, monkeypatch):
         def broken(problem, config):

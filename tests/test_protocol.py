@@ -1,5 +1,7 @@
 """Protocol compiler/executor tests: timing, families, phases, engines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -104,6 +106,16 @@ class TestCompile:
             Pulse("z", np.pi / 2, 2),
         )
         assert plan.per_qubit().per_qubit() == plan.per_qubit()
+
+    # qubit 0, qubit n + 1, an unknown axis (collective and on one qubit)
+    @pytest.mark.parametrize(
+        "pulse",
+        [Pulse("x", 0.3, 0), Pulse("x", 0.3, 4), Pulse("w", 0.3), Pulse("w", 0.3, 1)],
+    )
+    def test_plan_rejects_bad_final_pulse(self, pulse):
+        plan = compile_plan(3, 1.0, 0.05)
+        with pytest.raises(ValueError):
+            replace(plan, finals=plan.finals + (pulse,))
 
     def test_to_dict_round_trip_fields(self):
         d = compile_plan(4, 1, 0.05).to_dict()
