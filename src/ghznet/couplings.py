@@ -14,7 +14,11 @@ multiplier model used for the four-qubit study.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -37,6 +41,8 @@ class CouplingGraph:
     gz_ref: float
 
     def __post_init__(self):
+        if isinstance(self.n_qubits, bool) or not isinstance(self.n_qubits, Integral):
+            raise ValueError(f"qubit count must be an integer, got {self.n_qubits!r}")
         if self.n_qubits < 2:
             raise ValueError(f"need at least 2 qubits, got {self.n_qubits}")
         pairs = set(_all_pairs(self.n_qubits))
@@ -45,12 +51,14 @@ class CouplingGraph:
                 raise ValueError(
                     f"{name} map must cover exactly the {len(pairs)} pairs (l, k) with l < k"
                 )
+        values = (*self.xy.values(), *self.zz.values(), self.g_ref, self.gz_ref)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("couplings and reference values must be finite")
 
     def is_ideal(self) -> bool:
         """True when every pair sits exactly at the reference couplings."""
-        # a zero difference, not ==, so that an infinite coupling is never ideal
         return all(
-            abs(self.xy[p] - self.g_ref) <= 0 and abs(self.zz[p] - self.gz_ref) <= 0
+            self.xy[p] == self.g_ref and self.zz[p] == self.gz_ref
             for p in _all_pairs(self.n_qubits)
         )
 
@@ -102,6 +110,9 @@ def perturbed_general(
     missing = [p for p in pairs if p not in xy_multipliers]
     if missing:
         raise ValueError(f"missing XY multipliers for pairs {missing}")
+    extra = sorted(set(xy_multipliers) - set(pairs))
+    if extra:
+        raise ValueError(f"XY multipliers for pairs {extra} outside the {n}-qubit graph")
     for p, m in xy_multipliers.items():
         if not 0 < m <= 2:
             raise ValueError(f"multiplier {m} for pair {p} outside (0, 2]")
@@ -116,6 +127,62 @@ def _bit_arrays(n: int) -> list[np.ndarray]:
     return [(idx >> (n - k)) & 1 for k in range(1, n + 1)]
 
 
+class _ExchangePattern(NamedTuple):
+    """Canonical CSR positions of the exchange Hamiltonian on n qubits."""
+
+    indptr: np.ndarray  # int32, one per row plus one
+    indices: np.ndarray  # int32 column of each entry
+    slot: np.ndarray  # each entry's pair in _all_pairs(n) order; len(pairs) on the diagonal
+    diagonal: np.ndarray  # position of each row's diagonal entry
+
+
+# one pattern per qubit count 2..14, the range a dense state covers
+@lru_cache(maxsize=13)
+def _exchange_pattern(n: int) -> _ExchangePattern:
+    """Nonzero positions of H for every coupling graph on n qubits.
+
+    Every pair (l, k) moves an excitation between qubits l < k: from a row
+    with qubit l set and k clear to the column d = 2^(n-l) - 2^(n-k) below
+    it (a down move), and back from that column's row to d above (an up
+    move).  The d are distinct, so rows list their down moves by d
+    descending, then the diagonal, then their up moves by d ascending, and
+    come out in ascending column order with nothing to sort.  The arrays
+    are read-only: :func:`to_sparse` copies what it hands out.
+    """
+    pairs = _all_pairs(n)
+    npairs = len(pairs)
+    is_set = [b == 1 for b in _bit_arrays(n)]
+    d = np.array([(1 << (n - l)) - (1 << (n - k)) for l, k in pairs])
+    up = np.argsort(d)
+    down = up[::-1]
+    # the kinds of entry in row order: down moves by d descending, the
+    # diagonal, up moves by d ascending; present[j, i] marks kind j in row i
+    present = np.empty((2 * npairs + 1, 1 << n), dtype=bool)
+    for j, p in enumerate(down):
+        l, k = pairs[p]
+        np.greater(is_set[l - 1], is_set[k - 1], out=present[j])
+    present[npairs] = True
+    for j, p in enumerate(up, npairs + 1):
+        l, k = pairs[p]
+        np.less(is_set[l - 1], is_set[k - 1], out=present[j])
+    counts = present.sum(axis=0)
+    indptr = np.zeros((1 << n) + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    rows = np.repeat(np.arange(1 << n, dtype=np.int32), counts)
+    kind = np.flatnonzero(present.T) - len(present) * rows
+    offset = np.concatenate([-d[down], [0], d[up]]).astype(np.int32)
+    slot = np.concatenate([down, [npairs], up]).astype(np.min_scalar_type(npairs))
+    pattern = _ExchangePattern(
+        indptr=indptr,
+        indices=rows + offset[kind],
+        slot=slot[kind],
+        diagonal=np.flatnonzero(kind == npairs),
+    )
+    for a in pattern:
+        a.setflags(write=False)
+    return pattern
+
+
 def to_sparse(graph: CouplingGraph) -> csr_matrix:
     """Sparse float64 CSR matrix of the exchange Hamiltonian.
 
@@ -123,39 +190,34 @@ def to_sparse(graph: CouplingGraph) -> csr_matrix:
     graph: the ZZ part is diagonal, and each XY bond (l, k) couples every
     pair of indices related by swapping an excitation between qubits l and
     k with matrix element g_lk.
+
+    The matrix is in canonical format and keeps explicit zeros (a zero
+    coupling still has its entries).  Its positions depend on N alone and
+    are built once per N and cached: 0.2 MB for all of N = 2..10, then
+    0.3, 0.7, 1.7 and 4.0 MB at N = 11, 12, 13 and 14, 7.0 MB for all of
+    N = 2..14.  The matrix owns its arrays, so a caller may modify it.
     """
     n = graph.n_qubits
     dim = 1 << n
-    idx = np.arange(dim, dtype=np.int64)
     bits = _bit_arrays(n)
 
     diag = np.zeros(dim)
     for (l, k), gz in graph.zz.items():
         diag += 0.5 * gz * (2 * bits[l - 1] - 1) * (2 * bits[k - 1] - 1)
 
-    rows = [idx]
-    cols = [idx]
-    vals = [diag]
-    for (l, k), g in graph.xy.items():
-        sel = idx[(bits[l - 1] == 1) & (bits[k - 1] == 0)]
-        partner = sel - (1 << (n - l)) + (1 << (n - k))
-        coupling = np.full(len(sel), g)
-        rows += [sel, partner]
-        cols += [partner, sel]
-        vals += [coupling, coupling]
-
-    mat = csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
+    pattern = _exchange_pattern(n)
+    values = np.array([graph.xy[p] for p in _all_pairs(n)] + [0.0], dtype=float)
+    data = values[pattern.slot]
+    data[pattern.diagonal] = diag
+    return csr_matrix(
+        (data, pattern.indices.copy(), pattern.indptr.copy()), shape=(dim, dim)
     )
-    mat.sum_duplicates()
-    return mat
 
 
 def star_to_delta(c_star: float, n: int) -> float:
     """Complete-graph pair capacitance equivalent to a common-island star: C/n."""
-    if c_star <= 0:
-        raise ValueError(f"capacitance must be positive, got {c_star}")
+    if not (math.isfinite(c_star) and c_star > 0):
+        raise ValueError(f"capacitance must be positive and finite, got {c_star}")
     if n < 2:
         raise ValueError(f"need at least 2 qubits, got {n}")
     return c_star / n
@@ -181,7 +243,7 @@ def graph_from_dict(data: dict) -> CouplingGraph:
         return out
 
     return CouplingGraph(
-        n_qubits=int(data["n_qubits"]),
+        n_qubits=data["n_qubits"],
         xy=parse(data["xy"]),
         zz=parse(data["zz"]),
         g_ref=float(data["g_ref"]),

@@ -34,10 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import identity
 
 from .chebyshev import PropagationError, chebyshev_propagate
-from .couplings import CouplingGraph, ideal, to_sparse
+from .couplings import CouplingGraph, _exchange_pattern, ideal, to_sparse
 from .dense import (
     MAX_DENSE_QUBITS,
     GlobalPhase,
@@ -219,7 +218,9 @@ class HamiltonianPropagator:
       apply is two dense products.  The prepared state's eigenbasis
       coefficients are cached too, so :meth:`propagate_prepared` is one;
     * matrix-free (above) -- H is stored as real CSR shifted and scaled to
-      [-1, 1] by its Gershgorin bounds (centre c, radius r), and each apply
+      [-1, 1] by its Gershgorin bounds (centre c, radius r), written into
+      the arrays :func:`~ghznet.couplings.to_sparse` returned (same
+      positions, zeros kept; no second matrix is built), and each apply
       is a :func:`~ghznet.chebyshev.chebyshev_propagate` expansion, one
       real sparse matrix-vector product per term and per nonzero part of
       the state: one for the real :meth:`propagate_prepared` start, two
@@ -246,7 +247,13 @@ class HamiltonianPropagator:
         self._centre = 0.5 * (upper + lower)
         # r = 0 means H = c I; any positive scale then expands exactly
         self._radius = 0.5 * (upper - lower) or 1.0
-        self._scaled = (h - self._centre * identity(h.shape[0], format="csr")) / self._radius
+        # (H - c I) / r in H's own arrays, rounded as scipy rounds it (it
+        # divides by multiplying by 1/r); entries that come out zero stay
+        # stored, which changes no bit of a product
+        inv_radius = 1 / self._radius
+        h.data *= inv_radius
+        h.data[_exchange_pattern(self.n_qubits).diagonal] = (diag - self._centre) * inv_radius
+        self._scaled = h
 
     @property
     def factorized(self) -> bool:

@@ -1,8 +1,8 @@
 """Dense reference implementations the tests check the package against.
 
 Kronecker-product Paulis and rotations, a dense Hamiltonian with
-eigendecomposition evolution, and the collective ladder operators in both
-the W basis and the full 2^N space.  None of these runs in the package:
+eigendecomposition evolution, the COO-assembled sparse Hamiltonian, and the
+collective ladder operators in both the W basis and the full 2^N space.  None of these runs in the package:
 they are independent oracles for its matrix-free kernels, in the same
 Pauli convention as :mod:`ghznet.dense`.
 """
@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ghznet.couplings import CouplingGraph, to_sparse
+from scipy.sparse import csr_matrix
+
+from ghznet.couplings import CouplingGraph, _bit_arrays, to_sparse
 from ghznet.dense import (
     MAX_DENSE_QUBITS,
     StateVector,
@@ -108,6 +110,42 @@ def to_dense(graph: CouplingGraph) -> DenseOperator:
             f"got {graph.n_qubits}"
         )
     return DenseOperator(1 << graph.n_qubits, to_sparse(graph).toarray(), hermitian=True)
+
+
+def to_sparse_coo(graph: CouplingGraph) -> csr_matrix:
+    """Sparse float64 CSR matrix of the exchange Hamiltonian.
+
+    The Hamiltonian is real symmetric in the computational basis for any
+    graph: the ZZ part is diagonal, and each XY bond (l, k) couples every
+    pair of indices related by swapping an excitation between qubits l and
+    k with matrix element g_lk.
+    """
+    n = graph.n_qubits
+    dim = 1 << n
+    idx = np.arange(dim, dtype=np.int64)
+    bits = _bit_arrays(n)
+
+    diag = np.zeros(dim)
+    for (l, k), gz in graph.zz.items():
+        diag += 0.5 * gz * (2 * bits[l - 1] - 1) * (2 * bits[k - 1] - 1)
+
+    rows = [idx]
+    cols = [idx]
+    vals = [diag]
+    for (l, k), g in graph.xy.items():
+        sel = idx[(bits[l - 1] == 1) & (bits[k - 1] == 0)]
+        partner = sel - (1 << (n - l)) + (1 << (n - k))
+        coupling = np.full(len(sel), g)
+        rows += [sel, partner]
+        cols += [partner, sel]
+        vals += [coupling, coupling]
+
+    mat = csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    )
+    mat.sum_duplicates()
+    return mat
 
 
 def ladder_apply(state: WBasisState, which: str) -> WBasisState:

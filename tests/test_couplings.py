@@ -1,5 +1,7 @@
 """Coupling-graph tests: constructors, dense/sparse builders, star-delta."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,9 @@ from ghznet.couplings import (
     star_to_delta,
     to_sparse,
 )
+from ghznet.protocol import verify
 from ghznet.symmetric import popcounts
-from reference import CapacityError, pauli_on, to_dense
+from reference import CapacityError, pauli_on, to_dense, to_sparse_coo
 
 
 def pairwise_hamiltonian(graph):
@@ -87,6 +90,40 @@ class TestConstructors:
         with pytest.raises(ValueError):
             CouplingGraph(3, {(1, 2): 1.0}, {(1, 2): 0.0}, 1.0, 0.0)
 
+    def test_perturbed_general_extra_pair_rejected(self):
+        mult = {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0, (3, 4): 0.5}
+        with pytest.raises(ValueError, match="outside"):
+            perturbed_general(3, 1.0, 0.0, mult)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_couplings_rejected(self, bad):
+        good = ideal(3, 1.0, 0.05)
+        xy_bad = {**good.xy, (1, 3): bad}
+        for build in (
+            lambda: ideal(3, bad, 0.0),
+            lambda: ideal(3, 1.0, bad),
+            lambda: CouplingGraph(3, xy_bad, good.zz, 1.0, 0.05),
+            lambda: CouplingGraph(3, good.xy, xy_bad, 1.0, 0.05),
+            lambda: CouplingGraph(3, good.xy, good.zz, bad, 0.05),
+            lambda: CouplingGraph(3, good.xy, good.zz, 1.0, bad),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                build()
+
+    def test_non_finite_coupling_is_input_error_in_verify(self):
+        # a ValueError for the input, not a LinAlgError from the numerics
+        with pytest.raises(ValueError, match="finite") as exc:
+            verify(3, math.nan, 0.0)
+        assert not isinstance(exc.value, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("n", [True, 3.0, 2.7, np.float64(3)])
+    def test_qubit_count_must_be_integer(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            CouplingGraph(n, {}, {}, 1.0, 0.0)
+
+    def test_numpy_integer_qubit_count_accepted(self):
+        assert ideal(np.int64(3), 1.0, 0.0).n_qubits == 3
+
 
 class TestDenseBuilder:
     def test_matches_pairwise_oracle(self):
@@ -152,6 +189,51 @@ class TestDenseBuilder:
         assert np.all(h[pop[:, None] != pop[None, :]] == 0.0)
 
 
+def assert_same_csr(got, want):
+    """Equal bytes and dtypes of all three CSR arrays, both canonical."""
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.has_canonical_format == want.has_canonical_format
+    assert got.has_canonical_format
+
+
+class TestSparsePattern:
+    """to_sparse fills a cached per-N pattern; the COO assembly it replaced
+    is the bitwise oracle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 10), data=st.data())
+    def test_equals_coo_oracle(self, n, data):
+        pairs = [(l, k) for l in range(1, n + 1) for k in range(l + 1, n + 1)]
+        value = st.sampled_from([0.0, -1.0, 1.0]) | st.floats(-3.0, 3.0)
+
+        def pair_map():
+            order = data.draw(st.permutations(pairs))
+            return {p: data.draw(value) for p in order}
+
+        graph = CouplingGraph(n, pair_map(), pair_map(), 1.0, 0.0)
+        assert_same_csr(to_sparse(graph), to_sparse_coo(graph))
+
+    @pytest.mark.parametrize("n", [11, 12, 13, 14])
+    @pytest.mark.parametrize("g, gz", [(1.0, 0.05), (0.5, 1.0), (1.0, 0.0)])
+    def test_ideal_large_equals_coo_oracle(self, n, g, gz):
+        graph = ideal(n, g, gz)
+        assert_same_csr(to_sparse(graph), to_sparse_coo(graph))
+
+    def test_returned_matrix_is_the_callers_own(self):
+        n = 6
+        mat = to_sparse(ideal(n, 1.0, 0.0))
+        mat.eliminate_zeros()
+        mat.indices[:] = 0
+        mat.data[:] = 7.0
+        assert_same_csr(to_sparse(ideal(n, 1.0, 0.0)), to_sparse_coo(ideal(n, 1.0, 0.0)))
+        a, b = to_sparse(ideal(n, 1.0, 0.05)), to_sparse(ideal(n, 0.5, 1.0))
+        for name in ("indptr", "indices", "data"):
+            assert not np.shares_memory(getattr(a, name), getattr(b, name)), name
+
+
 class TestStarToDelta:
     def test_examples(self):
         assert star_to_delta(3.0, 3) == pytest.approx(1.0)
@@ -170,9 +252,20 @@ class TestStarToDelta:
         with pytest.raises(ValueError):
             star_to_delta(1.0, 1)
 
+    @pytest.mark.parametrize("c_star", [math.nan, math.inf])
+    def test_non_finite_capacitance_rejected(self, c_star):
+        with pytest.raises(ValueError):
+            star_to_delta(c_star, 3)
+
 
 class TestSerialization:
     def test_round_trip(self):
         g = perturbed_n3(1.3, 0.02, 0.06, 0.05)
         back = graph_from_dict(graph_to_dict(g))
         assert back == g
+
+    @pytest.mark.parametrize("n", [2.7, 3.0, True, "3"])
+    def test_non_integer_qubit_count_rejected(self, n):
+        data = {**graph_to_dict(ideal(3, 1.0, 0.0)), "n_qubits": n}
+        with pytest.raises(ValueError, match="integer"):
+            graph_from_dict(data)

@@ -7,7 +7,9 @@ propagated on one row); the sweep CSV and the four-qubit optimizer
 results were written by the code before the objective was rebuilt on raw
 arrays; ``execute_bits.txt`` holds the sha256 of every ideal ``execute``
 state for N = 2..9 on both engines, written before ``execute`` rotated raw
-arrays.  A change that keeps behaviour keeps every byte of them.
+arrays; ``execute_bits_large.txt`` holds the same for the dense engine at
+N = 10..14, written before the Hamiltonian was filled into a cached
+per-N sparsity pattern.  A change that keeps behaviour keeps every byte of them.
 """
 
 import hashlib
@@ -103,3 +105,21 @@ def execute_bits_text() -> str:
 
 def test_execute_bits():
     assert execute_bits_text().encode() == (GOLDEN / "execute_bits.txt").read_bytes()
+
+
+def execute_bits_large_text() -> str:
+    """sha256 of the raw amplitude bytes of every ideal dense run, N = 10..14."""
+    lines = []
+    for n in range(10, 15):
+        for g, gz in EXECUTE_COUPLINGS:
+            amps = execute(compile_plan(n, g, gz), ideal(n, g, gz)).amplitudes
+            digest = hashlib.sha256(amps.tobytes()).hexdigest()
+            lines.append(f"{n} {g!r} {gz!r} dense {digest}")
+    return "\n".join(lines) + "\n"
+
+
+def test_execute_bits_large():
+    assert (
+        execute_bits_large_text().encode()
+        == (GOLDEN / "execute_bits_large.txt").read_bytes()
+    )

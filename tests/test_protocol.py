@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import identity
 
 from ghznet import chebyshev
 from ghznet.couplings import ideal, perturbed_general, perturbed_n3
@@ -35,7 +36,7 @@ from ghznet.protocol import (
     verify,
 )
 from ghznet.symmetric import _x_generator, ghz_w_target
-from reference import evolve, project, to_dense
+from reference import evolve, project, to_dense, to_sparse_coo
 
 
 class TestTiming:
@@ -359,6 +360,27 @@ class TestChebyshevPropagation:
         prop = HamiltonianPropagator(ideal(7, 1.0, 0.05))
         with pytest.raises(PropagationError):
             prop.propagate_prepared(1.0)
+
+
+class TestScaledHamiltonian:
+    """The matrix-free path writes (H - cI)/r into H's own arrays; every
+    product is bit for bit the one scipy's sparse arithmetic gives."""
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    @pytest.mark.parametrize("kind", ["ideal-gz0", "ideal", "random-gz0"])
+    def test_product_equals_sparse_arithmetic(self, n, kind):
+        rng = np.random.default_rng(n)
+        graph = {
+            "ideal-gz0": ideal(n, 1.0, 0.0),
+            "ideal": ideal(n, 0.5, 1.0),
+            "random-gz0": _random_graph(rng, n, 0.0),
+        }[kind]
+        prop = HamiltonianPropagator(graph)
+        h = to_sparse_coo(graph)
+        shifted = h - prop._centre * identity(h.shape[0], format="csr")
+        x = rng.normal(size=1 << n)
+        got, want = prop._scaled @ x, (shifted / prop._radius) @ x
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRealStart:
