@@ -26,27 +26,23 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .couplings import ideal, perturbed_n3, star_to_delta, to_sparse
-from .dense import NoGlobalPhaseError, StateVector
+from .dense import NoGlobalPhaseError, StateVector, phase_aligned
 from .optimizer import (
     OptimizerConfig,
     SWEEP_COLUMNS,
+    correction_row,
     optimize,
     problem_odd,
+    row_cells,
     sweep,
-    uncorrected_fidelity,
     write_sweep_csv,
 )
-from .protocol import (
-    DegenerateCouplingError,
-    _verify_plan,
-    compile_plan,
-    entangling_time,
-    ghz_target,
-)
+from .protocol import DegenerateCouplingError, _verify_plan, compile_plan, ghz_target
 from .symmetric import analytic_eigenvalues, w_state_dense
 
 EXIT_OK = 0
@@ -204,55 +200,37 @@ def cmd_protocol(cfg: dict) -> int:
     return EXIT_OK
 
 
+def _optimizer_config(cfg: dict) -> OptimizerConfig:
+    return OptimizerConfig(**{f.name: cfg[f.name] for f in fields(OptimizerConfig)})
+
+
 def cmd_optimize(cfg: dict) -> int:
     graph = perturbed_n3(
         cfg["g12"], cfg["eta23"], cfg["eta13"], cfg["kappa"], zz_mode=cfg["zz_mode"]
     )
     problem = problem_odd(graph)
-    opt_cfg = OptimizerConfig(
-        tolerance=cfg["tolerance"],
-        max_evals=cfg["max_evals"],
-        restarts=cfg["restarts"],
-        seed=cfg["seed"],
-    )
-    result = optimize(problem, opt_cfg)
-    f_unc = uncorrected_fidelity(problem)
-    t_ref = entangling_time(graph.g_ref, graph.gz_ref)
-    params = np.concatenate([[result.t_opt], result.angles_opt])
-    psi = problem.run(params)
+    result = optimize(problem, _optimizer_config(cfg))
+    row = correction_row(cfg["eta13"], problem, result)
+    psi = problem.run(np.concatenate([[result.t_opt], result.angles_opt]))
     # align residual global phase the same way the objective does
-    ov = np.vdot(ghz_target(3).state.amplitudes, psi.amplitudes)
-    psi = StateVector(3, psi.amplitudes * (ov.conjugate() / abs(ov)))
-    lines = [",".join(SWEEP_COLUMNS)]
-    lines.append(
-        f"{cfg['eta13']:.6f},"
-        + f"{result.t_opt / t_ref:.10f},"
-        + ",".join(f"{a / (np.pi / 2):.10f}" for a in result.angles_opt)
-        + f",{result.fidelity:.10f},{f_unc:.10f}"
-    )
-    lines.append("")
-    lines.append("index,bitstring,real,imag")
-    lines.extend(_state_lines(psi))
+    amps = phase_aligned(psi.amplitudes, ghz_target(3).state.amplitudes)
+    lines = [",".join(SWEEP_COLUMNS), ",".join(row_cells(row)), ""]
+    lines += ["index,bitstring,real,imag", *_state_lines(StateVector(3, amps))]
     with open(cfg["out"], "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(f"wrote {cfg['out']}: F_opt {result.fidelity:.6f}, F_uncorrected {f_unc:.6f}")
+    f_opt, f_unc = row["F_opt"], row["F_uncorrected"]
+    print(f"wrote {cfg['out']}: F_opt {f_opt:.6f}, F_uncorrected {f_unc:.6f}")
     return EXIT_OK if result.converged else EXIT_NUMERICAL
 
 
 def cmd_sweep(cfg: dict) -> int:
     grid = np.linspace(cfg["eta13_start"], cfg["eta13_stop"], cfg["eta13_steps"])
-    opt_cfg = OptimizerConfig(
-        tolerance=cfg["tolerance"],
-        max_evals=cfg["max_evals"],
-        restarts=cfg["restarts"],
-        seed=cfg["seed"],
-    )
     rows = sweep(
         grid,
         g12=cfg["g12"],
         eta23=cfg["eta23"],
         kappa=cfg["kappa"],
-        config=opt_cfg,
+        config=_optimizer_config(cfg),
         zz_mode=cfg["zz_mode"],
     )
     write_sweep_csv(rows, cfg["out"])

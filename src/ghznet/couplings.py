@@ -27,6 +27,11 @@ PairMap = dict[tuple[int, int], float]
 
 
 def _all_pairs(n: int) -> list[tuple[int, int]]:
+    """Pairs (l, k), l < k, of n qubits; n must be an integer >= 2."""
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise ValueError(f"qubit count must be an integer, got {n!r}")
+    if n < 2:
+        raise ValueError(f"need at least 2 qubits, got {n}")
     return [(l, k) for l in range(1, n + 1) for k in range(l + 1, n + 1)]
 
 
@@ -41,10 +46,6 @@ class CouplingGraph:
     gz_ref: float
 
     def __post_init__(self):
-        if isinstance(self.n_qubits, bool) or not isinstance(self.n_qubits, Integral):
-            raise ValueError(f"qubit count must be an integer, got {self.n_qubits!r}")
-        if self.n_qubits < 2:
-            raise ValueError(f"need at least 2 qubits, got {self.n_qubits}")
         pairs = set(_all_pairs(self.n_qubits))
         for name, m in (("xy", self.xy), ("zz", self.zz)):
             if set(m) != pairs:
@@ -199,11 +200,16 @@ def to_sparse(graph: CouplingGraph) -> csr_matrix:
     """
     n = graph.n_qubits
     dim = 1 << n
-    bits = _bit_arrays(n)
+    # +1 where the qubit is set, -1 where it is clear; made in place, as
+    # holding the bits and the signs at once raises the peak memory
+    signs = _bit_arrays(n)
+    for s in signs:
+        s *= 2
+        s -= 1
 
     diag = np.zeros(dim)
     for (l, k), gz in graph.zz.items():
-        diag += 0.5 * gz * (2 * bits[l - 1] - 1) * (2 * bits[k - 1] - 1)
+        diag += 0.5 * gz * signs[l - 1] * signs[k - 1]
 
     pattern = _exchange_pattern(n)
     values = np.array([graph.xy[p] for p in _all_pairs(n)] + [0.0], dtype=float)

@@ -151,10 +151,14 @@ def fidelity_frobenius(psi: StateVector, target: StateVector, align_phase: bool)
 def fidelity_frobenius_raw(a: np.ndarray, target: np.ndarray, align_phase: bool) -> float:
     """:func:`fidelity_frobenius` on raw amplitude vectors of equal length."""
     if align_phase:
-        ov = np.vdot(target, a)
-        if abs(ov) > 0:
-            a = a * (ov.conjugate() / abs(ov))
+        a = phase_aligned(a, target)
     return 1.0 - float(np.linalg.norm(a - target))
+
+
+def phase_aligned(a: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``a`` times the unit phase making ``<target|a>`` real and nonnegative."""
+    ov = np.vdot(target, a)
+    return a * (ov.conjugate() / abs(ov)) if abs(ov) > 0 else a
 
 
 def global_phase_between(a: StateVector, b: StateVector) -> GlobalPhase:

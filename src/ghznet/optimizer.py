@@ -30,12 +30,17 @@ floating-point operations, in order, of running ``plan_for``'s plan
 through :func:`~ghznet.protocol.execute` and
 :func:`~ghznet.dense.fidelity_frobenius`, so the results agree bit for
 bit.
+
+A three-qubit correction is reported as one row, built by
+:func:`correction_row` and formatted by :func:`row_cells`: every row of
+:func:`sweep`'s CSV, and the row ``ghznet optimize`` writes above its state.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -55,28 +60,33 @@ from .protocol import (
 SWEEP_COLUMNS = ("eta13", "t_ratio", "alpha1", "alpha2", "alpha3", "F_opt", "F_uncorrected")
 
 
-@dataclass(frozen=True)
 class OptimizationProblem:
     """A pulse-parameter search space over one coupling graph.
 
     A parameter vector is the entangling time followed by the angles of
     the final pulses ``plan.finals[i]`` for ``i`` in ``free``;
     ``ideal_params`` is the point that reproduces ``plan`` unchanged.
-    Build one with :func:`problem_odd`, :func:`problem_even_restricted`
-    or :func:`problem_even_full`.
+    The time may range over [0.5, 1.5] times the compiled one and each
+    angle over [0, ``angle_upper``].  Build one with :func:`problem_odd`,
+    :func:`problem_even_restricted` or :func:`problem_even_full`.
     """
 
-    graph: CouplingGraph
-    plan: ProtocolPlan
-    free: tuple[int, ...]
-    ideal_params: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    _propagator: HamiltonianPropagator = field(repr=False, compare=False)
-    # the 2x2 matrix of each pulse in plan.finals at its compiled angle
-    _matrices: list = field(repr=False, compare=False)
-    _target: np.ndarray = field(repr=False, compare=False)
-    _phase_conj: complex = field(repr=False, compare=False)
+    def __init__(
+        self, graph: CouplingGraph, plan: ProtocolPlan, free: tuple[int, ...],
+        angle_upper: float,
+    ):
+        t_ideal = plan.entangle_duration
+        self.graph = graph
+        self.plan = plan
+        self.free = free
+        self.ideal_params = np.array([t_ideal] + [plan.finals[i].angle for i in free])
+        self.lower = np.concatenate([[0.5 * t_ideal], np.zeros(len(free))])
+        self.upper = np.concatenate([[1.5 * t_ideal], np.full(len(free), angle_upper)])
+        self._propagator = HamiltonianPropagator(graph)
+        # the 2x2 matrix of each pulse in plan.finals at its compiled angle
+        self._matrices = [single_qubit_rotation(p.axis, p.angle) for p in plan.finals]
+        self._target = ghz_target(plan.n_qubits).state.amplitudes
+        self._phase_conj = plan.expected_phase.phase.conjugate()
 
     @property
     def n_qubits(self) -> int:
@@ -123,34 +133,13 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The best start's point; ``objective_evaluations`` counts all starts."""
+
     t_opt: float
     angles_opt: np.ndarray
     fidelity: float
     objective_evaluations: int
     converged: bool
-
-
-def _make_problem(
-    graph: CouplingGraph, plan: ProtocolPlan, free: tuple[int, ...],
-    angle_upper: float,
-) -> OptimizationProblem:
-    n = plan.n_qubits
-    t_ideal = plan.entangle_duration
-    ideal_params = np.array([t_ideal] + [plan.finals[i].angle for i in free])
-    lower = np.concatenate([[0.5 * t_ideal], np.zeros(len(free))])
-    upper = np.concatenate([[1.5 * t_ideal], np.full(len(free), angle_upper)])
-    return OptimizationProblem(
-        graph=graph,
-        plan=plan,
-        free=free,
-        ideal_params=ideal_params,
-        lower=lower,
-        upper=upper,
-        _propagator=HamiltonianPropagator(graph),
-        _matrices=[single_qubit_rotation(p.axis, p.angle) for p in plan.finals],
-        _target=ghz_target(n).state.amplitudes,
-        _phase_conj=plan.expected_phase.phase.conjugate(),
-    )
 
 
 def _compiled(graph: CouplingGraph, parity: str) -> ProtocolPlan:
@@ -163,7 +152,7 @@ def _compiled(graph: CouplingGraph, parity: str) -> ProtocolPlan:
 def problem_odd(graph: CouplingGraph) -> OptimizationProblem:
     """Entangling time + final x angle on each qubit (odd-family sequence)."""
     plan = _compiled(graph, "odd").per_qubit()
-    return _make_problem(graph, plan, tuple(range(graph.n_qubits)), np.pi)
+    return OptimizationProblem(graph, plan, tuple(range(graph.n_qubits)), np.pi)
 
 
 def problem_even_restricted(graph: CouplingGraph) -> OptimizationProblem:
@@ -173,13 +162,13 @@ def problem_even_restricted(graph: CouplingGraph) -> OptimizationProblem:
     qubits), so its bound is a full turn.
     """
     # compiled even finals: collective y pi/2, then the qubit-1 z pulse
-    return _make_problem(graph, _compiled(graph, "even"), (1,), 2 * np.pi)
+    return OptimizationProblem(graph, _compiled(graph, "even"), (1,), 2 * np.pi)
 
 
 def problem_even_full(graph: CouplingGraph) -> OptimizationProblem:
     """Entangling time + per-qubit angle for the second collective y pulse."""
     plan = _compiled(graph, "even").per_qubit()
-    return _make_problem(graph, plan, tuple(range(graph.n_qubits)), np.pi)
+    return OptimizationProblem(graph, plan, tuple(range(graph.n_qubits)), np.pi)
 
 
 def objective(problem: OptimizationProblem, params: np.ndarray) -> float:
@@ -218,15 +207,10 @@ def optimize(
             np.clip(problem.ideal_params + step, problem.lower, problem.upper)
         )
 
-    evals = 0
-
-    def fun(p: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        # Nelder-Mead with bounds clips trial points, so p is always in-box
-        return objective(problem, p)
-
+    # Nelder-Mead with bounds clips trial points, so they are always in-box
+    fun = functools.partial(objective, problem)
     best = None
+    evals = 0
     for x0 in starts:
         res = minimize(
             fun,
@@ -239,6 +223,7 @@ def optimize(
                 "maxfev": config.max_evals,
             },
         )
+        evals += res.nfev
         if best is None or res.fun < best.fun:
             best = res
     return OptimizationResult(
@@ -264,6 +249,30 @@ def uncorrected_fidelity(problem: OptimizationProblem) -> float:
     return 1.0 - objective(problem, problem.ideal_params)
 
 
+def correction_row(
+    eta13: float, problem: OptimizationProblem, result: OptimizationResult
+) -> dict:
+    """The three-qubit correction of ``problem`` as one row of the sweep.
+
+    The row holds the time ratio t_opt / (pi / (2 g12 (1 - kappa))), the
+    three final x angles in units of pi/2, the optimized and the
+    uncorrected fidelity, and whether the best start converged.
+    """
+    t_ref = entangling_time(problem.graph.g_ref, problem.graph.gz_ref)
+    values = (
+        eta13, result.t_opt / t_ref, *(result.angles_opt / (np.pi / 2)),
+        result.fidelity, uncorrected_fidelity(problem),
+    )
+    return dict(zip(SWEEP_COLUMNS, values), converged=result.converged, error="")
+
+
+def row_cells(row: dict) -> list[str]:
+    """CSV cells of a row in ``SWEEP_COLUMNS`` order; a failed row reads "error"."""
+    if row.get("error"):
+        return [f"{row['eta13']:.6f}"] + ["error"] * 6
+    return [f"{row['eta13']:.6f}"] + [f"{row[c]:.10f}" for c in SWEEP_COLUMNS[1:]]
+
+
 def sweep(
     eta13_values,
     g12: float = 1.0,
@@ -274,39 +283,24 @@ def sweep(
 ) -> list[dict]:
     """Optimize the three-qubit correction over a grid of eta13 deficits.
 
-    Each row reports the time ratio t_opt / (pi / (2 g12 (1 - kappa))),
-    the three final x angles in units of pi/2, the optimized fidelity and
-    the uncorrected fidelity.  Every problem is built before the first
-    optimization, so bad input (a deficit outside [0, 1), g = gz) raises
-    ``ValueError`` and no row is returned; a row whose optimization fails
-    is marked with ``error`` instead of being dropped.
+    Each row is a :func:`correction_row`.  Every problem is built before
+    the first optimization, so bad input (a deficit outside [0, 1),
+    g = gz) raises ``ValueError`` and no row is returned; a row whose
+    optimization fails is marked with ``error`` instead of being dropped.
     """
     etas = [float(eta13) for eta13 in eta13_values]
     graphs = (perturbed_n3(g12, eta23, eta13, kappa, zz_mode=zz_mode) for eta13 in etas)
     problems = [problem_odd(graph) for graph in graphs]
     rows = []
     for eta13, problem in zip(etas, problems):
-        row: dict = {"eta13": eta13}
         try:
-            result = optimize(problem, config)
-            t_ref = entangling_time(problem.graph.g_ref, problem.graph.gz_ref)
-            row.update(
-                t_ratio=result.t_opt / t_ref,
-                alpha1=result.angles_opt[0] / (np.pi / 2),
-                alpha2=result.angles_opt[1] / (np.pi / 2),
-                alpha3=result.angles_opt[2] / (np.pi / 2),
-                F_opt=result.fidelity,
-                F_uncorrected=uncorrected_fidelity(problem),
-                converged=result.converged,
-                error="",
-            )
+            row = correction_row(eta13, problem, optimize(problem, config))
         # failed rows are reported, not dropped; any other error is a bug
         except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-            row.update(
-                t_ratio=np.nan, alpha1=np.nan, alpha2=np.nan, alpha3=np.nan,
-                F_opt=np.nan, F_uncorrected=np.nan, converged=False,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            row = {
+                "eta13": eta13, **dict.fromkeys(SWEEP_COLUMNS[1:], np.nan),
+                "converged": False, "error": f"{type(exc).__name__}: {exc}",
+            }
         rows.append(row)
     return rows
 
@@ -316,11 +310,4 @@ def write_sweep_csv(rows: list[dict], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            if row.get("error"):
-                writer.writerow([f"{row['eta13']:.6f}"] + ["error"] * 6)
-            else:
-                writer.writerow(
-                    [f"{row['eta13']:.6f}"]
-                    + [f"{row[c]:.10f}" for c in SWEEP_COLUMNS[1:]]
-                )
+        writer.writerows(row_cells(row) for row in rows)

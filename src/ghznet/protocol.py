@@ -348,7 +348,6 @@ def execute(
     plan: ProtocolPlan,
     graph: CouplingGraph,
     engine: str = "dense",
-    propagator: HamiltonianPropagator | None = None,
 ) -> StateVector:
     """Apply the compiled sequence to |0...0> and return the final state.
 
@@ -365,9 +364,7 @@ def execute(
             f"execute returns a dense state, limited to {MAX_DENSE_QUBITS} qubits, got {n}"
         )
     if engine == "dense":
-        if propagator is None:
-            propagator = HamiltonianPropagator(graph)
-        amps = propagator.propagate_prepared(plan.entangle_duration)
+        amps = HamiltonianPropagator(graph).propagate_prepared(plan.entangle_duration)
         pulses = plan.finals
     elif engine == "symmetric":
         if not graph.is_ideal():

@@ -247,6 +247,17 @@ class TestCommands:
                 args = parser.parse_args([command, flag, str(default)])
                 assert getattr(args, key) == default
 
+    def test_optimize_row_is_the_sweep_row(self, tmp_path, capsys):
+        opt, swp = tmp_path / "opt.csv", tmp_path / "sweep.csv"
+        argv = ["--eta13", "0.03", "--restarts", "2", "--out", str(opt)]
+        assert main(["optimize", *argv]) == EXIT_OK
+        grid = ["--eta13-start", "0.03", "--eta13-stop", "0.03", "--eta13-steps", "1"]
+        assert main(["sweep", *grid, "--restarts", "2", "--out", str(swp)]) == EXIT_OK
+        # optimize ends its lines with \n, the sweep CSV with \r\n
+        sweep_lines = swp.read_bytes().split(b"\r\n")
+        assert opt.read_bytes().split(b"\n")[:2] == sweep_lines[:2]
+        assert sweep_lines[2:] == [b""]
+
     def test_optimize_flags_match_config(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         cfg = tmp_path / "cfg.json"

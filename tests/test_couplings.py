@@ -118,8 +118,13 @@ class TestConstructors:
 
     @pytest.mark.parametrize("n", [True, 3.0, 2.7, np.float64(3)])
     def test_qubit_count_must_be_integer(self, n):
-        with pytest.raises(ValueError, match="integer"):
-            CouplingGraph(n, {}, {}, 1.0, 0.0)
+        for build in (
+            lambda: CouplingGraph(n, {}, {}, 1.0, 0.0),
+            lambda: ideal(n, 1.0, 0.0),
+            lambda: perturbed_general(n, 1.0, 0.0, {}),
+        ):
+            with pytest.raises(ValueError, match="integer"):
+                build()
 
     def test_numpy_integer_qubit_count_accepted(self):
         assert ideal(np.int64(3), 1.0, 0.0).n_qubits == 3

@@ -9,7 +9,9 @@ arrays; ``execute_bits.txt`` holds the sha256 of every ideal ``execute``
 state for N = 2..9 on both engines, written before ``execute`` rotated raw
 arrays; ``execute_bits_large.txt`` holds the same for the dense engine at
 N = 10..14, written before the Hamiltonian was filled into a cached
-per-N sparsity pattern.  A change that keeps behaviour keeps every byte of them.
+per-N sparsity pattern; the eigenvalue table was written before ``ghznet
+optimize`` shared the sweep's row builder.  A change that keeps behaviour
+keeps every byte of them.
 """
 
 import hashlib
@@ -51,6 +53,12 @@ N4_MULTIPLIERS = {
 def test_protocol_stdout(argv, name, capsys):
     assert main(["protocol", *argv]) == EXIT_OK
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_eigs_csv(tmp_path, capsys):
+    out = tmp_path / "eigs.csv"
+    assert main(["eigs", "--n", "6", "--g", "1", "--gz", "0.2", "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / "eigs_n6_g1_gz0.2.csv").read_bytes()
 
 
 def test_optimize_default_csv(tmp_path, capsys):

@@ -22,13 +22,7 @@ from ghznet.optimizer import (
     write_sweep_csv,
 )
 from ghznet.dense import StateVector, fidelity_frobenius
-from ghznet.protocol import (
-    HamiltonianPropagator,
-    entangling_time,
-    execute,
-    ghz_target,
-    theta,
-)
+from ghznet.protocol import entangling_time, execute, ghz_target, theta
 
 FAST = OptimizerConfig(restarts=3)
 
@@ -122,7 +116,7 @@ FAMILIES = _families()
 def _reference_objective(problem, params):
     """1 - fidelity of the plan run through execute on a fresh propagator."""
     plan = problem.plan_for(params)
-    psi = execute(plan, problem.graph, propagator=HamiltonianPropagator(problem.graph))
+    psi = execute(plan, problem.graph)
     psi = StateVector(psi.n_qubits, psi.amplitudes * plan.expected_phase.phase.conjugate())
     target = ghz_target(problem.n_qubits).state
     return 1.0 - fidelity_frobenius(psi, target, align_phase=True)

@@ -237,14 +237,6 @@ class TestExecuteAndVerify:
         with pytest.raises(ValueError):
             execute(compile_plan(3, 1, 0), ideal(4, 1, 0))
 
-    def test_propagator_reuse_matches_fresh(self):
-        plan = compile_plan(3, 1, 0.05)
-        graph = perturbed_n3(1.0, 0.02, 0.06, 0.05)
-        prop = HamiltonianPropagator(graph)
-        a = execute(plan, graph, propagator=prop)
-        b = execute(plan, graph)
-        assert np.array_equal(a.amplitudes, b.amplitudes)
-
 
 class TestDegeneracyGuard:
     def test_uniform_state_is_stationary(self):
