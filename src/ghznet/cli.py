@@ -224,6 +224,9 @@ def cmd_optimize(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
+    # an empty grid would write a header-only CSV
+    if cfg["eta13_steps"] < 1:
+        raise ConfigError(f"eta13_steps must be >= 1, got {cfg['eta13_steps']}")
     grid = np.linspace(cfg["eta13_start"], cfg["eta13_stop"], cfg["eta13_steps"])
     rows = sweep(
         grid,

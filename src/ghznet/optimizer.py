@@ -31,6 +31,11 @@ through :func:`~ghznet.protocol.execute` and
 :func:`~ghznet.dense.fidelity_frobenius`, so the results agree bit for
 bit.
 
+The search is :func:`minimize`, bounded Nelder-Mead (Nelder and Mead,
+Comput. J. 7, 308 (1965)) ported from scipy 1.17.1 so that importing the
+package does not load ``scipy.optimize``; it returns scipy's results bit
+for bit.
+
 A three-qubit correction is reported as one row, built by
 :func:`correction_row` and formatted by :func:`row_cells`: every row of
 :func:`sweep`'s CSV, and the row ``ghznet optimize`` writes above its state.
@@ -43,7 +48,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .couplings import CouplingGraph, perturbed_n3
 from .dense import StateVector, fidelity_frobenius_raw, single_qubit_rotation
@@ -129,6 +133,15 @@ class OptimizerConfig:
         # no evaluation means no start-0 result to fall back on
         if self.max_evals < 1:
             raise ValueError(f"max_evals must be >= 1, got {self.max_evals}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        # "not >= 0", so that NaN is refused too
+        if not self.tolerance >= 0:
+            raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
+        # default_rng refuses it too, but only once sweep is under way,
+        # which would record bad input as failed rows
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -186,6 +199,118 @@ def objective(problem: OptimizationProblem, params: np.ndarray) -> float:
     )
 
 
+@dataclass(frozen=True)
+class MinimizeResult:
+    """One Nelder-Mead run: the best vertex, its value, the evaluations
+    spent, and whether it stopped on the tolerances rather than the budget."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    success: bool
+
+
+class _BudgetSpent(Exception):
+    """An evaluation was asked for after ``maxfev`` of them."""
+
+
+def minimize(fun, x0, lower, upper, xatol, fatol, maxfev) -> MinimizeResult:
+    """Bounded Nelder-Mead from ``x0`` within [``lower``, ``upper``].
+
+    A port of scipy 1.17.1's ``_minimize_neldermead`` with ``bounds`` and
+    ``maxfev``, reduced to the non-adaptive method and the default initial
+    simplex.  It keeps scipy's numpy operations, on the same arrays and in
+    the same order (the twice-sorted first simplex, the row-by-row
+    centroid, a clip after every trial point), so the result matches
+    ``scipy.optimize.minimize(method="Nelder-Mead")`` bit for bit,
+    including which of two tied vertices ``np.argsort`` puts first.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+
+    x0 = np.clip(x0, lower, upper)
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = (1 + nonzdelt) * y[k] if y[k] != 0 else zdelt
+        sim[k + 1] = y
+    # a vertex pushed past the upper bound is reflected into the box, so
+    # that clipping cannot make the simplex degenerate
+    sim = np.where(sim > upper, 2 * upper - sim, sim)
+    sim = np.clip(sim, lower, upper)
+
+    nfev = 0
+
+    def func(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return fun(np.copy(x))
+
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = func(sim[k])
+    except _BudgetSpent:
+        pass
+    # scipy sorts the first simplex twice; both sorts stay, so that tied
+    # values end up in scipy's order without relying on a stable argsort
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    while nfev < maxfev:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = np.clip((1 + rho) * xbar - rho * sim[-1], lower, upper)
+            fxr = func(xr)
+            if fxr < fsim[0]:
+                xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lower, upper)
+                fxe = func(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    # outside contraction
+                    xc = np.clip(
+                        (1 + psi * rho) * xbar - psi * rho * sim[-1], lower, upper
+                    )
+                    fxc = func(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:
+                    # inside contraction
+                    xcc = np.clip((1 - psi) * xbar + psi * sim[-1], lower, upper)
+                    fxcc = func(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        sim[j] = np.clip(sim[j], lower, upper)
+                        fsim[j] = func(sim[j])
+        except _BudgetSpent:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    return MinimizeResult(x=sim[0], fun=np.min(fsim), nfev=nfev, success=nfev < maxfev)
+
+
 def optimize(
     problem: OptimizationProblem, config: OptimizerConfig = OptimizerConfig()
 ) -> OptimizationResult:
@@ -199,7 +324,7 @@ def optimize(
     rng = np.random.default_rng(config.seed)
     starts = [problem.ideal_params.copy()]
     t_ideal = problem.ideal_params[0]
-    for _ in range(max(config.restarts - 1, 0)):
+    for _ in range(config.restarts - 1):
         step = rng.uniform(-1.0, 1.0, size=problem.ideal_params.shape)
         step[0] *= 0.05 * t_ideal
         step[1:] *= 0.1
@@ -207,21 +332,16 @@ def optimize(
             np.clip(problem.ideal_params + step, problem.lower, problem.upper)
         )
 
-    # Nelder-Mead with bounds clips trial points, so they are always in-box
+    # Nelder-Mead with bounds clips trial points, so they are always in-box.
+    # objective and minimize are read from the module on each call, where
+    # perfbench's tracer replaces them with recording wrappers
     fun = functools.partial(objective, problem)
     best = None
     evals = 0
     for x0 in starts:
         res = minimize(
-            fun,
-            x0,
-            method="Nelder-Mead",
-            bounds=list(zip(problem.lower, problem.upper)),
-            options={
-                "fatol": config.tolerance,
-                "xatol": 1e-8,
-                "maxfev": config.max_evals,
-            },
+            fun, x0, problem.lower, problem.upper,
+            xatol=1e-8, fatol=config.tolerance, maxfev=config.max_evals,
         )
         evals += res.nfev
         if best is None or res.fun < best.fun:

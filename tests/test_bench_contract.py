@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from ghznet import optimizer
+from ghznet.couplings import perturbed_n3
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -39,3 +42,18 @@ def test_warmups_reach_every_counted_layer(bench_modules, tmp_path):
         "optimizer.objective_calls",
     ):
         assert metrics[layer] > 0, layer
+
+
+def test_minimize_patch_sees_every_start(bench_modules):
+    # optimize must look minimize up on the module at call time, or the
+    # tracer's per-start records stay empty
+    spans, _ = bench_modules
+    problem = optimizer.problem_odd(perturbed_n3(1.0, 0.02, 0.06, 0.05))
+    tracer = spans.Tracer()
+    with tracer.installed(), tracer.operation():
+        result = optimizer.optimize(
+            problem, optimizer.OptimizerConfig(restarts=3, max_evals=300)
+        )
+    metrics = tracer.metrics()
+    assert metrics["optimizer.evals_per_optimize"] == result.objective_evaluations
+    assert metrics["optimizer.best_start_evals_frac"] > 0

@@ -169,7 +169,13 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--max-evals", "0"], ["--eta13", "1.5"], ["--eta23", "1"]],
+        [
+            ["--max-evals", "0"],
+            ["--eta13", "1.5"],
+            ["--eta23", "1"],
+            ["--restarts", "-4"],
+            ["--tolerance", "-1", "--max-evals", "300", "--restarts", "1"],
+        ],
     )
     def test_optimize_bad_input_is_input_error(self, argv, tmp_path, capsys):
         out = tmp_path / "opt.csv"
@@ -191,6 +197,10 @@ class TestCommands:
             ["--eta13-stop", "1.2"],
             # g = gz
             ["--kappa", "1", "--eta13-steps", "2"],
+            # an empty grid
+            ["--eta13-steps", "0"],
+            ["--restarts", "0", "--eta13-steps", "2"],
+            ["--seed", "-1", "--eta13-steps", "2"],
         ],
     )
     def test_sweep_bad_input_is_input_error(self, argv, tmp_path, capsys):

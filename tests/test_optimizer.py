@@ -1,9 +1,17 @@
-"""Optimizer tests: fixed points, dominance, determinism, sweep output."""
+"""Optimizer tests: fixed points, dominance, determinism, sweep output, and
+the in-package Nelder-Mead against scipy's."""
+
+import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize as scipy_minimize
 
 from ghznet import optimizer
 from ghznet.chebyshev import PropagationError
@@ -167,6 +175,48 @@ class TestObjectiveBits:
                 objective(problem, params)
 
 
+class TestMinimizeBits:
+    """``optimizer.minimize`` ports scipy's bounded Nelder-Mead bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    @settings(max_examples=6, deadline=None)
+    @given(
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+        maxfev=st.sampled_from([20000, 37]),
+        rough=st.booleans(),
+    )
+    def test_equals_scipy(self, name, fractions, maxfev, rough):
+        problem = FAMILIES[name]
+        size = problem.ideal_params.shape[0]
+        span = problem.upper - problem.lower
+        x0 = np.clip(
+            problem.lower + np.array(fractions[:size]) * span, problem.lower, problem.upper
+        )
+        fun = functools.partial(objective, problem)
+        if rough:
+            # a coarse objective ties vertices and forces shrink steps
+            def fun(params):
+                return round(objective(problem, params), 3)
+
+        ours = optimizer.minimize(
+            fun, x0, problem.lower, problem.upper, xatol=1e-8, fatol=1e-10, maxfev=maxfev
+        )
+        ref = scipy_minimize(
+            fun, x0, method="Nelder-Mead", bounds=list(zip(problem.lower, problem.upper)),
+            options={"xatol": 1e-8, "fatol": 1e-10, "maxfev": maxfev},
+        )
+        assert ours.x.tobytes() == ref.x.tobytes()
+        assert ours.fun == ref.fun
+        assert ours.nfev == ref.nfev
+        assert ours.success == ref.success
+
+    def test_import_does_not_load_scipy_optimize(self):
+        src = Path(optimizer.__file__).resolve().parents[1]
+        code = "import sys, ghznet, ghznet.cli; sys.exit('scipy.optimize' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 class TestOptimize:
     def test_ideal_graph_fixed_point(self):
         prob = problem_odd(ideal(3, 1, 0.05))
@@ -198,6 +248,20 @@ class TestOptimize:
         # could fall below the uncorrected fidelity
         with pytest.raises(ValueError, match="max_evals"):
             OptimizerConfig(max_evals=max_evals)
+
+    @pytest.mark.parametrize("restarts", [0, -4])
+    def test_no_start_rejected(self, restarts):
+        with pytest.raises(ValueError, match="restarts"):
+            OptimizerConfig(restarts=restarts)
+
+    @pytest.mark.parametrize("tolerance", [-1.0, np.nan])
+    def test_bad_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            OptimizerConfig(tolerance=tolerance)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            OptimizerConfig(seed=-1)
 
     def test_deterministic_for_fixed_seed(self):
         prob = problem_odd(perturbed_n3(1.0, 0.02, 0.06, 0.05))
