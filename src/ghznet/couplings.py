@@ -26,12 +26,17 @@ from scipy.sparse import csr_matrix
 PairMap = dict[tuple[int, int], float]
 
 
-def _all_pairs(n: int) -> list[tuple[int, int]]:
-    """Pairs (l, k), l < k, of n qubits; n must be an integer >= 2."""
+def check_qubit_count(n: int) -> None:
+    """Refuse a qubit count that is not an integer >= 2 (a bool included)."""
     if isinstance(n, bool) or not isinstance(n, Integral):
         raise ValueError(f"qubit count must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"need at least 2 qubits, got {n}")
+
+
+def _all_pairs(n: int) -> list[tuple[int, int]]:
+    """Pairs (l, k), l < k, of n qubits; n must be an integer >= 2."""
+    check_qubit_count(n)
     return [(l, k) for l in range(1, n + 1) for k in range(l + 1, n + 1)]
 
 

@@ -86,6 +86,8 @@ class OptimizationProblem:
         self.ideal_params = np.array([t_ideal] + [plan.finals[i].angle for i in free])
         self.lower = np.concatenate([[0.5 * t_ideal], np.zeros(len(free))])
         self.upper = np.concatenate([[1.5 * t_ideal], np.full(len(free), angle_upper)])
+        # (lower, upper) of each parameter as Python floats, for objective
+        self._box = tuple(zip(self.lower.tolist(), self.upper.tolist()))
         self._propagator = HamiltonianPropagator(graph)
         # the 2x2 matrix of each pulse in plan.finals at its compiled angle
         self._matrices = [single_qubit_rotation(p.axis, p.angle) for p in plan.finals]
@@ -108,11 +110,12 @@ class OptimizationProblem:
 
     def run(self, params: np.ndarray) -> StateVector:
         """Execute the plan and strip the expected global phase."""
-        return StateVector(self.n_qubits, self._state(params))
+        return StateVector(self.n_qubits, self._state(params.tolist()))
 
-    def _state(self, params: np.ndarray) -> np.ndarray:
-        """Amplitudes of :meth:`run` without building a plan or a state."""
-        t, *angles = params.tolist()
+    def _state(self, values: list[float]) -> np.ndarray:
+        """Amplitudes of :meth:`run` for the parameters as Python floats,
+        without building a plan or a state."""
+        t, *angles = values
         finals = self.plan.finals
         us = list(self._matrices)
         for i, angle in zip(self.free, angles):
@@ -191,11 +194,12 @@ def objective(problem: OptimizationProblem, params: np.ndarray) -> float:
         raise ValueError(
             f"expected {problem.ideal_params.shape[0]} parameters, got {params.shape}"
         )
+    values = params.tolist()
     # "not inside the box", so that NaN (never inside) is refused too
-    if not ((params >= problem.lower).all() and (params <= problem.upper).all()):
+    if not all(lo <= v <= hi for v, (lo, hi) in zip(values, problem._box)):
         raise ValueError("parameters outside the problem bounds")
     return 1.0 - fidelity_frobenius_raw(
-        problem._state(params), problem._target, align_phase=True
+        problem._state(values), problem._target, align_phase=True
     )
 
 
@@ -214,22 +218,36 @@ class _BudgetSpent(Exception):
     """An evaluation was asked for after ``maxfev`` of them."""
 
 
+def _clip(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """``np.clip`` of a 1-D array without its dispatch: the same bytes,
+    NaN and both signed zeros included."""
+    return np.minimum(np.maximum(x, lower), upper)
+
+
 def minimize(fun, x0, lower, upper, xatol, fatol, maxfev) -> MinimizeResult:
     """Bounded Nelder-Mead from ``x0`` within [``lower``, ``upper``].
 
     A port of scipy 1.17.1's ``_minimize_neldermead`` with ``bounds`` and
     ``maxfev``, reduced to the non-adaptive method and the default initial
-    simplex.  It keeps scipy's numpy operations, on the same arrays and in
-    the same order (the twice-sorted first simplex, the row-by-row
-    centroid, a clip after every trial point), so the result matches
-    ``scipy.optimize.minimize(method="Nelder-Mead")`` bit for bit,
-    including which of two tied vertices ``np.argsort`` puts first.
+    simplex.  It keeps scipy's floating-point operations, on the same
+    values and in the same order (the twice-sorted first simplex, the
+    row-by-row centroid, a clip after every trial point), so the result
+    matches ``scipy.optimize.minimize(method="Nelder-Mead")`` bit for bit,
+    including which of two tied vertices ``np.argsort`` puts first.  Only
+    bookkeeping differs: the sorts call the ``argsort`` and ``take``
+    methods that ``np.argsort`` and ``np.take`` forward to, the loop's
+    clips are :func:`_clip`, the f-convergence test runs on Python floats,
+    the integer coefficients are floats, and the reflection factor rho = 1
+    is left out of the products, where it is exact.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    # float coefficients, and n_float below: numpy multiplies and divides by
+    # a Python int more slowly, and each int here converts to the same float64
+    chi, psi, sigma = 2.0, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
 
     x0 = np.clip(x0, lower, upper)
     n = len(x0)
+    n_float = float(n)
     sim = np.empty((n + 1, n))
     sim[0] = x0
     for k in range(n):
@@ -239,6 +257,8 @@ def minimize(fun, x0, lower, upper, xatol, fatol, maxfev) -> MinimizeResult:
     # a vertex pushed past the upper bound is reflected into the box, so
     # that clipping cannot make the simplex degenerate
     sim = np.where(sim > upper, 2 * upper - sim, sim)
+    # np.clip, not _clip: on a 2-D simplex with n = 1 they disagree on the
+    # sign of a zero
     sim = np.clip(sim, lower, upper)
 
     nfev = 0
@@ -248,7 +268,7 @@ def minimize(fun, x0, lower, upper, xatol, fatol, maxfev) -> MinimizeResult:
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return fun(np.copy(x))
+        return fun(x.copy())
 
     fsim = np.full(n + 1, np.inf)
     try:
@@ -259,20 +279,24 @@ def minimize(fun, x0, lower, upper, xatol, fatol, maxfev) -> MinimizeResult:
     # scipy sorts the first simplex twice; both sorts stay, so that tied
     # values end up in scipy's order without relying on a stable argsort
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
 
     while nfev < maxfev:
         try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            # the cheap test on Python floats first; like np.max(...) <= fatol
+            # it is False on NaN
+            f0, *fs = fsim.tolist()
+            if (all(abs(f0 - f) <= fatol for f in fs)
+                    and np.max(np.abs(sim[1:] - sim[0])) <= xatol):
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = np.clip((1 + rho) * xbar - rho * sim[-1], lower, upper)
+            xbar = np.add.reduce(sim[:-1], 0) / n_float
+            # reflection, (1 + rho) * xbar - rho * sim[-1] with rho = 1
+            xr = _clip(2.0 * xbar - sim[-1], lower, upper)
             fxr = func(xr)
             if fxr < fsim[0]:
-                xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lower, upper)
+                xe = _clip((1 + chi) * xbar - chi * sim[-1], lower, upper)
                 fxe = func(xe)
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
@@ -283,16 +307,14 @@ def minimize(fun, x0, lower, upper, xatol, fatol, maxfev) -> MinimizeResult:
             else:
                 if fxr < fsim[-1]:
                     # outside contraction
-                    xc = np.clip(
-                        (1 + psi * rho) * xbar - psi * rho * sim[-1], lower, upper
-                    )
+                    xc = _clip((1 + psi) * xbar - psi * sim[-1], lower, upper)
                     fxc = func(xc)
                     shrink = not fxc <= fxr
                     if not shrink:
                         sim[-1], fsim[-1] = xc, fxc
                 else:
                     # inside contraction
-                    xcc = np.clip((1 - psi) * xbar + psi * sim[-1], lower, upper)
+                    xcc = _clip((1 - psi) * xbar + psi * sim[-1], lower, upper)
                     fxcc = func(xcc)
                     shrink = not fxcc < fsim[-1]
                     if not shrink:
@@ -300,13 +322,13 @@ def minimize(fun, x0, lower, upper, xatol, fatol, maxfev) -> MinimizeResult:
                 if shrink:
                     for j in range(1, n + 1):
                         sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                        sim[j] = np.clip(sim[j], lower, upper)
+                        sim[j] = _clip(sim[j], lower, upper)
                         fsim[j] = func(sim[j])
         except _BudgetSpent:
             pass
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
 
     return MinimizeResult(x=sim[0], fun=np.min(fsim), nfev=nfev, success=nfev < maxfev)
 

@@ -31,12 +31,19 @@ above N = 6 more than once, so it would never pay for itself there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .chebyshev import PropagationError, chebyshev_propagate
-from .couplings import CouplingGraph, _exchange_pattern, ideal, to_sparse
+from .couplings import (
+    CouplingGraph,
+    _exchange_pattern,
+    check_qubit_count,
+    ideal,
+    to_sparse,
+)
 from .dense import (
     MAX_DENSE_QUBITS,
     GlobalPhase,
@@ -84,8 +91,7 @@ class GhzTarget:
 
 
 def ghz_target(n: int) -> GhzTarget:
-    if n < 2:
-        raise ValueError("need at least 2 qubits")
+    check_qubit_count(n)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return GhzTarget(n, StateVector(n, amps))
@@ -93,6 +99,8 @@ def ghz_target(n: int) -> GhzTarget:
 
 def entangling_time(g: float, gz: float) -> float:
     """t = pi / (2|g - gz|), the time printing the GHZ branch phases."""
+    if not (math.isfinite(g) and math.isfinite(gz)):
+        raise ValueError(f"couplings must be finite, got g = {g}, gz = {gz}")
     if g == gz:
         raise DegenerateCouplingError(
             f"g = gz = {g}: isotropic coupling cannot entangle the uniform state"
@@ -184,8 +192,7 @@ def compile_plan(n: int, g: float, gz: float) -> ProtocolPlan:
     compiled correction (z pi/2 on two qubits) leaves the total expected
     phase at -e^{-i lambda_0 t}.
     """
-    if n < 2:
-        raise ValueError("need at least 2 qubits")
+    check_qubit_count(n)
     t = entangling_time(g, gz)
     branch_phase = np.exp(-1j * ground_energy(n, gz) * t)
     if n % 2 == 1:
@@ -237,10 +244,12 @@ class HamiltonianPropagator:
         if graph.n_qubits <= EIGH_MAX_QUBITS:
             # complex eigh of the complex matrix, as the N <= 6 results
             # depend on its exact rounding (the real solver gives other bits)
-            self._eigvals, self._eigvecs = np.linalg.eigh(h.toarray().astype(complex))
+            eigvals, self._eigvecs = np.linalg.eigh(h.toarray().astype(complex))
+            # -1j * eigvals, the first factor of every apply's phase product
+            self._rates = -1j * eigvals
             self._prepared_coeffs = self._eigvecs.conj().T @ _prepared(self.n_qubits)
             return
-        self._eigvals = None
+        self._rates = None
         diag = h.diagonal()
         off = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
         lower, upper = np.min(diag - off), np.max(diag + off)
@@ -258,20 +267,19 @@ class HamiltonianPropagator:
     @property
     def factorized(self) -> bool:
         """True when applies go through the eigendecomposition."""
-        return self._eigvals is not None
+        return self._rates is not None
 
     def propagate(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
-        if self._eigvals is None:
+        if self._rates is None:
             return self._chebyshev(amplitudes, t)
-        phases = np.exp(-1j * self._eigvals * t)
+        phases = np.exp(self._rates * t)
         return self._eigvecs @ (phases * (self._eigvecs.conj().T @ amplitudes))
 
     def propagate_prepared(self, t: float) -> np.ndarray:
         """e^{-iHt} applied to :data:`PREPARATION` |0...0>."""
-        if self._eigvals is None:
+        if self._rates is None:
             return self.propagate(_prepared(self.n_qubits), t)
-        phases = np.exp(-1j * self._eigvals * t)
-        return self._eigvecs @ (phases * self._prepared_coeffs)
+        return self._eigvecs @ (np.exp(self._rates * t) * self._prepared_coeffs)
 
     def _chebyshev(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
         rt = self._radius * t

@@ -81,6 +81,14 @@ def pauli_on(n: int, k: int, axis: str) -> DenseOperator:
     return DenseOperator(1 << n, _embed_single(n, k, rotation_generator(axis)), hermitian=True)
 
 
+def rotation_matrix(axis: str, angle: float) -> np.ndarray:
+    """exp(-i (angle/2) sigma_axis) as the 2x2 array expression
+    :func:`ghznet.dense.single_qubit_rotation` used first; its bytes are
+    the ones the package's scalar-built matrix must reproduce."""
+    identity = np.eye(2, dtype=complex)
+    return np.cos(angle / 2) * identity - 1j * np.sin(angle / 2) * rotation_generator(axis)
+
+
 def rotation_on(n: int, k: int, axis: str, angle: float) -> DenseOperator:
     """Dense single-qubit rotation operator."""
     return DenseOperator(1 << n, _embed_single(n, k, single_qubit_rotation(axis, angle)))

@@ -17,7 +17,8 @@ from ghznet.couplings import (
     star_to_delta,
     to_sparse,
 )
-from ghznet.protocol import verify
+from ghznet.chebyshev import PropagationError
+from ghznet.protocol import compile_plan, entangling_time, ghz_target, verify
 from ghznet.symmetric import popcounts
 from reference import CapacityError, pauli_on, to_dense, to_sparse_coo
 
@@ -111,10 +112,19 @@ class TestConstructors:
                 build()
 
     def test_non_finite_coupling_is_input_error_in_verify(self):
-        # a ValueError for the input, not a LinAlgError from the numerics
-        with pytest.raises(ValueError, match="finite") as exc:
-            verify(3, math.nan, 0.0)
-        assert not isinstance(exc.value, np.linalg.LinAlgError)
+        # a ValueError for the input, not a PropagationError or LinAlgError
+        # from the numerics, on either engine
+        for g, gz in [
+            (math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0), (1.0, -math.inf),
+            (math.inf, math.inf),
+        ]:
+            for engine in ("dense", "symmetric"):
+                with pytest.raises(ValueError, match="finite") as exc:
+                    verify(3, g, gz, engine=engine)
+                assert not isinstance(exc.value, (PropagationError, np.linalg.LinAlgError))
+            for call in (lambda: compile_plan(3, g, gz), lambda: entangling_time(g, gz)):
+                with pytest.raises(ValueError, match="finite"):
+                    call()
 
     @pytest.mark.parametrize("n", [True, 3.0, 2.7, np.float64(3)])
     def test_qubit_count_must_be_integer(self, n):
@@ -126,8 +136,21 @@ class TestConstructors:
             with pytest.raises(ValueError, match="integer"):
                 build()
 
+    @pytest.mark.parametrize("n", [True, 3.0, 2.7, np.float64(3), 5.0])
+    def test_qubit_count_must_be_integer_in_protocol(self, n):
+        for build in (
+            lambda: compile_plan(n, 1.0, 0.05),
+            lambda: ghz_target(n),
+            lambda: verify(n, 1.0, 0.05),
+            lambda: verify(n, 1.0, 0.05, engine="symmetric"),
+        ):
+            with pytest.raises(ValueError, match="integer"):
+                build()
+
     def test_numpy_integer_qubit_count_accepted(self):
         assert ideal(np.int64(3), 1.0, 0.0).n_qubits == 3
+        assert compile_plan(np.int64(3), 1.0, 0.0).n_qubits == 3
+        assert ghz_target(np.int64(3)).n_qubits == 3
 
 
 class TestDenseBuilder:

@@ -15,10 +15,16 @@ from ghznet.dense import (
     apply_single_qubit,
     basis_state,
     fidelity_frobenius,
+    fidelity_frobenius_raw,
     global_phase_between,
     single_qubit_rotation,
 )
-from reference import DenseOperator, evolve, pauli_on, rotation_on
+from reference import DenseOperator, evolve, pauli_on, rotation_matrix, rotation_on
+
+# angles where signed zeros and exact cos/sin values decide the bytes
+SPECIAL_ANGLES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300] + [
+    k * np.pi / 2 for k in range(-8, 9)
+]
 
 
 def random_state(n, rng):
@@ -143,6 +149,42 @@ class TestRotationKernel:
         for k in (0, 4):
             with pytest.raises(ValueError):
                 apply_single_qubit(psi, k, u)
+
+
+class TestRotationMatrix:
+    """The scalar-built 2x2 matrix has the bytes of the array expression."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        angle=st.one_of(
+            st.sampled_from(SPECIAL_ANGLES),
+            st.floats(-1e6, 1e6),
+            st.floats(-1e-300, 1e-300),
+            st.integers(-4000, 4000).map(lambda k: k * np.pi / 2),
+        ),
+    )
+    def test_bytes_equal_array_expression(self, angle):
+        for axis in "xyz":
+            for a in (angle, np.float64(angle)):
+                got = single_qubit_rotation(axis, a)
+                want = rotation_matrix(axis, a)
+                assert got.dtype == want.dtype and got.shape == want.shape == (2, 2)
+                assert got.tobytes() == want.tobytes(), (axis, a)
+
+    def test_bad_axis_rejected(self):
+        with pytest.raises(ValueError, match="axis"):
+            single_qubit_rotation("w", 0.3)
+
+
+class TestFidelityNorm:
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_equals_numpy_norm(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a, target = random_state(n, rng).amplitudes, random_state(n, rng).amplitudes
+        want = 1.0 - float(np.linalg.norm(a - target))
+        assert fidelity_frobenius_raw(a, target, align_phase=False) == want
+        assert fidelity_frobenius_raw(target, target, align_phase=False) == 1.0
 
 
 class TestEvolve:

@@ -217,6 +217,105 @@ class TestMinimizeBits:
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+class TestBoundsCheck:
+    """``objective``'s box test on Python floats refuses and accepts what
+    the elementwise numpy comparison did."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_rejected(self, name, bad):
+        # NaN: TestObjectiveBits.test_nan_parameter_rejected
+        problem = FAMILIES[name]
+        for k in range(problem.ideal_params.shape[0]):
+            params = problem.ideal_params.copy()
+            params[k] = bad
+            with pytest.raises(ValueError, match="bounds"):
+                objective(problem, params)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_just_outside_rejected_edges_accepted(self, name):
+        problem = FAMILIES[name]
+        for k in range(problem.ideal_params.shape[0]):
+            for edge, outside in (
+                (problem.lower[k], np.nextafter(problem.lower[k], -np.inf)),
+                (problem.upper[k], np.nextafter(problem.upper[k], np.inf)),
+            ):
+                params = problem.ideal_params.copy()
+                params[k] = outside
+                with pytest.raises(ValueError, match="bounds"):
+                    objective(problem, params)
+                params[k] = edge
+                assert np.isfinite(objective(problem, params))
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_negative_zero_at_zero_lower_bound_accepted(self, name):
+        problem = FAMILIES[name]
+        params = problem.ideal_params.copy()
+        params[1:] = 0.0
+        want = objective(problem, params)
+        params[1:] = -0.0
+        assert objective(problem, params) == want
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_wrong_shape_rejected(self, name):
+        problem = FAMILIES[name]
+        x = problem.ideal_params
+        for params in (x.reshape(1, -1), x.reshape(-1, 1), x[0], np.stack([x, x]), []):
+            with pytest.raises(ValueError, match="parameters"):
+                objective(problem, params)
+
+    def test_list_accepted(self):
+        problem = FAMILIES["odd-3"]
+        x = problem.ideal_params
+        assert objective(problem, x.tolist()) == objective(problem, x)
+
+
+CLIP_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf]
+
+
+class TestMinimizeBookkeeping:
+    """The loop's cheaper clip and convergence test behave as scipy's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6))
+    def test_clip_equals_np_clip(self, data, n):
+        def row(values):
+            return np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+
+        lower = row(st.sampled_from([0.0, -0.0, -1.0, 0.5]))
+        upper = np.maximum(lower, row(st.sampled_from([0.0, -0.0, 1.0, 2.0])))
+        values = st.sampled_from(CLIP_VALUES) | st.floats()
+        sim = np.stack([row(values) for _ in range(n + 1)])
+        # a fresh trial point and a simplex row, as minimize clips both
+        for x in (sim[-1].copy(), sim[-1]):
+            want = np.clip(x, lower, upper)
+            assert optimizer._clip(x, lower, upper).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("where", [0.2, 0.5, 0.8])
+    def test_nan_objective_equals_scipy(self, where):
+        # NaN values never pass the convergence test and never win a comparison
+        problem = FAMILIES["odd-3"]
+        cut = problem.lower[0] + where * (problem.upper[0] - problem.lower[0])
+
+        def fun(params):
+            return np.nan if params[0] > cut else objective(problem, params)
+
+        bounds = list(zip(problem.lower, problem.upper))
+        for maxfev in (50, 400):
+            ours = optimizer.minimize(
+                fun, problem.ideal_params, problem.lower, problem.upper,
+                xatol=1e-8, fatol=1e-10, maxfev=maxfev,
+            )
+            ref = scipy_minimize(
+                fun, problem.ideal_params, method="Nelder-Mead", bounds=bounds,
+                options={"xatol": 1e-8, "fatol": 1e-10, "maxfev": maxfev},
+            )
+            assert ours.x.tobytes() == ref.x.tobytes()
+            assert ours.fun == ref.fun or (np.isnan(ours.fun) and np.isnan(ref.fun))
+            assert ours.nfev == ref.nfev
+            assert ours.success == ref.success
+
+
 class TestOptimize:
     def test_ideal_graph_fixed_point(self):
         prob = problem_odd(ideal(3, 1, 0.05))
