@@ -9,7 +9,7 @@ on each generalized W state.
 import numpy as np
 
 from ghznet.couplings import ideal, to_sparse
-from ghznet.symmetric import analytic_eigenvalues, w_state_dense
+from ghznet.symmetric import WBasisState, analytic_eigenvalues, embed
 
 n, g, gz = 6, 1.0, 0.2
 lam = analytic_eigenvalues(n, g, gz)
@@ -18,7 +18,7 @@ h = to_sparse(ideal(n, g, gz)).toarray().astype(complex)
 print(f"N = {n}, g = {g}, gz = {gz}")
 print(f"{'j':>3} {'analytic':>12} {'numeric':>12} {'|diff|':>10}")
 for j in range(n + 1):
-    w = w_state_dense(n, j).amplitudes
+    w = embed(WBasisState(n, np.eye(n + 1)[j])).amplitudes
     lam_num = float(np.real(np.vdot(w, h @ w)))
     print(f"{j:>3} {lam[j]:>12.6f} {lam_num:>12.6f} {abs(lam[j] - lam_num):>10.2e}")
 

@@ -7,8 +7,6 @@ pulse parameters when the pairwise couplings are imperfect.
 
 from .couplings import (
     CouplingGraph,
-    graph_from_dict,
-    graph_to_dict,
     ideal,
     perturbed_general,
     perturbed_n3,
@@ -62,7 +60,6 @@ from .symmetric import (
     embed,
     entangle_phases,
     ghz_w_target,
-    w_state_dense,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -43,12 +43,14 @@ from .optimizer import (
     write_sweep_csv,
 )
 from .protocol import DegenerateCouplingError, _verify_plan, compile_plan, ghz_target
-from .symmetric import analytic_eigenvalues, w_state_dense
+from .symmetric import WBasisState, analytic_eigenvalues, embed
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
 
+# the optimize and sweep keys that OptimizerConfig holds, typed by its defaults
+_OPTIMIZER_KEYS = {f.name: (type(f.default), f.default) for f in fields(OptimizerConfig)}
 # per-command config schema: key -> (type, default)
 SCHEMAS: dict[str, dict[str, tuple[type, object]]] = {
     "eigs": {
@@ -70,10 +72,7 @@ SCHEMAS: dict[str, dict[str, tuple[type, object]]] = {
         "eta13": (float, 0.06),
         "kappa": (float, 0.05),
         "zz_mode": (str, "proportional"),
-        "tolerance": (float, 1e-10),
-        "max_evals": (int, 20000),
-        "restarts": (int, 8),
-        "seed": (int, 0),
+        **_OPTIMIZER_KEYS,
         "out": (str, "optimize.csv"),
     },
     "sweep": {
@@ -84,10 +83,7 @@ SCHEMAS: dict[str, dict[str, tuple[type, object]]] = {
         "eta13_start": (float, 0.0),
         "eta13_stop": (float, 0.10),
         "eta13_steps": (int, 11),
-        "tolerance": (float, 1e-10),
-        "max_evals": (int, 20000),
-        "restarts": (int, 8),
-        "seed": (int, 0),
+        **_OPTIMIZER_KEYS,
         "out": (str, "sweep.csv"),
     },
     "star2delta": {
@@ -141,10 +137,6 @@ def load_config(command: str, path: str | None, overrides: dict) -> dict:
     return values
 
 
-def dump_config(values: dict) -> str:
-    return json.dumps(values, indent=2, sort_keys=True)
-
-
 def _state_lines(psi: StateVector) -> list[str]:
     """State-vector report rows: index,bitstring,real,imag at 6 decimals."""
     n = psi.n_qubits
@@ -157,20 +149,17 @@ def _state_lines(psi: StateVector) -> list[str]:
 def cmd_eigs(cfg: dict) -> int:
     n, g, gz = cfg["n_qubits"], cfg["g"], cfg["gz"]
     lam = analytic_eigenvalues(n, g, gz)
-    numeric = None
-    if n <= 10:
-        h = to_sparse(ideal(n, g, gz)).toarray().astype(complex)
-        numeric = []
-        for j in range(n + 1):
-            w = w_state_dense(n, j).amplitudes
-            numeric.append(float(np.real(np.vdot(w, h @ w))))
+    h = to_sparse(ideal(n, g, gz)).toarray().astype(complex) if n <= 10 else None
     lines = ["j,lambda_analytic,lambda_numeric,abs_diff"]
     for j in range(n + 1):
-        if numeric is None:
+        if h is None:
             lines.append(f"{j},{lam[j]:.12g},,")
         else:
-            diff = abs(lam[j] - numeric[j])
-            lines.append(f"{j},{lam[j]:.12g},{numeric[j]:.12g},{diff:.3e}")
+            # the Rayleigh quotient of H on the dense |W_j>
+            w = embed(WBasisState(n, np.eye(n + 1)[j])).amplitudes
+            numeric = float(np.real(np.vdot(w, h @ w)))
+            diff = abs(lam[j] - numeric)
+            lines.append(f"{j},{lam[j]:.12g},{numeric:.12g},{diff:.3e}")
     with open(cfg["out"], "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {cfg['out']} ({n + 1} eigenvalues)")
@@ -201,7 +190,7 @@ def cmd_protocol(cfg: dict) -> int:
 
 
 def _optimizer_config(cfg: dict) -> OptimizerConfig:
-    return OptimizerConfig(**{f.name: cfg[f.name] for f in fields(OptimizerConfig)})
+    return OptimizerConfig(**{key: cfg[key] for key in _OPTIMIZER_KEYS})
 
 
 def cmd_optimize(cfg: dict) -> int:

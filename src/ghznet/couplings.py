@@ -26,10 +26,15 @@ from scipy.sparse import csr_matrix
 PairMap = dict[tuple[int, int], float]
 
 
-def check_qubit_count(n: int) -> None:
-    """Refuse a qubit count that is not an integer >= 2 (a bool included)."""
+def check_integer_count(n: int) -> None:
+    """Refuse a qubit count that is not an integer (a bool or a float included)."""
     if isinstance(n, bool) or not isinstance(n, Integral):
         raise ValueError(f"qubit count must be an integer, got {n!r}")
+
+
+def check_qubit_count(n: int) -> None:
+    """Refuse a qubit count that is not an integer >= 2."""
+    check_integer_count(n)
     if n < 2:
         raise ValueError(f"need at least 2 qubits, got {n}")
 
@@ -229,34 +234,6 @@ def star_to_delta(c_star: float, n: int) -> float:
     """Complete-graph pair capacitance equivalent to a common-island star: C/n."""
     if not (math.isfinite(c_star) and c_star > 0):
         raise ValueError(f"capacitance must be positive and finite, got {c_star}")
-    if n < 2:
-        raise ValueError(f"need at least 2 qubits, got {n}")
+    check_qubit_count(n)
     return c_star / n
 
-
-def graph_to_dict(graph: CouplingGraph) -> dict:
-    """JSON-friendly form with pair keys 'l-k'."""
-    return {
-        "n_qubits": graph.n_qubits,
-        "g_ref": graph.g_ref,
-        "gz_ref": graph.gz_ref,
-        "xy": {f"{l}-{k}": v for (l, k), v in sorted(graph.xy.items())},
-        "zz": {f"{l}-{k}": v for (l, k), v in sorted(graph.zz.items())},
-    }
-
-
-def graph_from_dict(data: dict) -> CouplingGraph:
-    def parse(m: dict) -> PairMap:
-        out: PairMap = {}
-        for key, v in m.items():
-            l, k = (int(s) for s in key.split("-"))
-            out[(l, k)] = float(v)
-        return out
-
-    return CouplingGraph(
-        n_qubits=data["n_qubits"],
-        xy=parse(data["xy"]),
-        zz=parse(data["zz"]),
-        g_ref=float(data["g_ref"]),
-        gz_ref=float(data["gz_ref"]),
-    )

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .couplings import check_integer_count
+
 MAX_DENSE_QUBITS = 14
 
 NORM_ATOL = 1e-12
@@ -52,6 +54,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        check_integer_count(self.n_qubits)
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
         amps = np.asarray(self.amplitudes, dtype=complex)

@@ -99,8 +99,9 @@ def ghz_target(n: int) -> GhzTarget:
 
 def entangling_time(g: float, gz: float) -> float:
     """t = pi / (2|g - gz|), the time printing the GHZ branch phases."""
-    if not (math.isfinite(g) and math.isfinite(gz)):
-        raise ValueError(f"couplings must be finite, got g = {g}, gz = {gz}")
+    # an infinite g - gz (finite couplings can overflow) would give t = 0
+    if not math.isfinite(g - gz):
+        raise ValueError(f"g, gz and g - gz must be finite, got g = {g}, gz = {gz}")
     if g == gz:
         raise DegenerateCouplingError(
             f"g = gz = {g}: isotropic coupling cannot entangle the uniform state"
@@ -178,11 +179,6 @@ class ProtocolPlan:
         }
 
 
-def ground_energy(n: int, gz: float) -> float:
-    """Eigenenergy of |0...0> and |1...1>: C(N,2) gz / 2."""
-    return 0.5 * n * (n - 1) * (gz / 2.0)
-
-
 def compile_plan(n: int, g: float, gz: float) -> ProtocolPlan:
     """Compile the GHZ pulse sequence for n uniformly coupled qubits.
 
@@ -194,7 +190,7 @@ def compile_plan(n: int, g: float, gz: float) -> ProtocolPlan:
     """
     check_qubit_count(n)
     t = entangling_time(g, gz)
-    branch_phase = np.exp(-1j * ground_energy(n, gz) * t)
+    branch_phase = np.exp(-1j * analytic_eigenvalues(n, g, gz)[0] * t)
     if n % 2 == 1:
         finals = [Pulse("x", np.pi / 2)]
         family = np.exp(1j * (-1) ** ((n - 3) // 2) * np.pi / 4)
@@ -394,8 +390,8 @@ def verify(
 
     The phase is the measured global phase of the output relative to the
     GHZ target; for a correct run it equals the plan's expected phase.
-    The dense engine is limited to N <= 14; the symmetric engine runs any
-    N, both parities, in the W basis.
+    The dense engine is limited to N <= 14; the symmetric engine runs both
+    parities in the W basis, with 1 - F growing as N^2 (2e-8 at N = 30001).
     """
     return _verify_plan(compile_plan(n, g, gz), g, gz, engine)
 

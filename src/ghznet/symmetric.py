@@ -7,8 +7,8 @@ here are coefficient vectors of length N+1, so memory is O(N) at any
 qubit count.  Free evolution is diagonal, a collective z rotation is
 diagonal, and a collective x or y rotation by angle a is a Chebyshev
 expansion (:mod:`ghznet.chebyshev`) of about N|a|/2 products with the
-tridiagonal x generator, O(N) each.  Only the dense reconstructions
-(:func:`embed`, :func:`w_state_dense`) are capped at N <= 14.
+tridiagonal x generator, O(N) each.  Only :func:`embed`, the dense
+reconstruction (``|W_j>`` is the embedded unit vector e_j), caps N at 14.
 
 Ladder actions used throughout::
 
@@ -32,6 +32,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .chebyshev import chebyshev_propagate
+from .couplings import check_integer_count, check_qubit_count
 from .dense import MAX_DENSE_QUBITS, StateVector
 
 
@@ -52,6 +53,7 @@ class WBasisState:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        check_integer_count(self.n_qubits)
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
         c = np.asarray(self.coeffs, dtype=complex)
@@ -72,25 +74,10 @@ def analytic_eigenvalues(n: int, g: float, gz: float) -> np.ndarray:
     eigenenergy shared by |0...0> and |1...1>; the symmetry
     lambda_j = lambda_{N-j} is exact as computed.
     """
-    if n < 2:
-        raise ValueError("need at least 2 qubits")
+    check_qubit_count(n)
     j = np.arange(n + 1, dtype=float)
     pairs = 0.5 * n * (n - 1)
     return j * (n - j) * (g - gz) + pairs * (gz / 2.0)
-
-
-def w_state_dense(n: int, j: int) -> StateVector:
-    """Dense |W_j>: amplitude 1/sqrt(C(n,j)) on every index with popcount j."""
-    if not 0 <= j <= n:
-        raise ValueError(f"excitation count {j} out of range 0..{n}")
-    if n > MAX_DENSE_QUBITS:
-        raise ValueError(f"dense W state limited to n <= {MAX_DENSE_QUBITS}")
-    idx = np.arange(1 << n)
-    pop = popcounts(n)
-    amps = np.zeros(1 << n, dtype=complex)
-    sel = idx[pop == j]
-    amps[sel] = 1.0 / np.sqrt(len(sel))
-    return StateVector(n, amps)
 
 
 def popcounts(n: int) -> np.ndarray:
@@ -184,6 +171,7 @@ def embed(state: WBasisState) -> StateVector:
 
 def ghz_w_target(n: int) -> WBasisState:
     """The GHZ state in the W basis: 1/sqrt(2) at j = 0 and j = N."""
+    check_qubit_count(n)
     c = np.zeros(n + 1, dtype=complex)
     c[0] = c[n] = 1.0 / np.sqrt(2.0)
     return WBasisState(n, c)

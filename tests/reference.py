@@ -1,8 +1,9 @@
 """Dense reference implementations the tests check the package against.
 
 Kronecker-product Paulis and rotations, a dense Hamiltonian with
-eigendecomposition evolution, the COO-assembled sparse Hamiltonian, and the
-collective ladder operators in both the W basis and the full 2^N space.  None of these runs in the package:
+eigendecomposition evolution, the COO-assembled sparse Hamiltonian, the
+dense generalized W states, and the collective ladder operators in both
+the W basis and the full 2^N space.  None of these runs in the package:
 they are independent oracles for its matrix-free kernels, in the same
 Pauli convention as :mod:`ghznet.dense`.
 """
@@ -154,6 +155,20 @@ def to_sparse_coo(graph: CouplingGraph) -> csr_matrix:
     )
     mat.sum_duplicates()
     return mat
+
+
+def w_state_dense(n: int, j: int) -> StateVector:
+    """Dense |W_j>: amplitude 1/sqrt(C(n,j)) on every index with popcount j."""
+    if not 0 <= j <= n:
+        raise ValueError(f"excitation count {j} out of range 0..{n}")
+    if n > MAX_DENSE_QUBITS:
+        raise ValueError(f"dense W state limited to n <= {MAX_DENSE_QUBITS}")
+    idx = np.arange(1 << n)
+    pop = popcounts(n)
+    amps = np.zeros(1 << n, dtype=complex)
+    sel = idx[pop == j]
+    amps[sel] = 1.0 / np.sqrt(len(sel))
+    return StateVector(n, amps)
 
 
 def ladder_apply(state: WBasisState, which: str) -> WBasisState:

@@ -35,9 +35,8 @@ from ghznet.symmetric import (
     analytic_eigenvalues,
     binomial_row,
     ghz_w_target,
-    w_state_dense,
 )
-from reference import collective_ladder_dense, project
+from reference import collective_ladder_dense, project, w_state_dense
 
 # Printed three-qubit reference states (least-significant qubit-1 ordering).
 OPTIMIZED_STATE = np.array([

@@ -12,7 +12,6 @@ from ghznet.cli import (
     EXIT_OK,
     SCHEMAS,
     _build_parser,
-    dump_config,
     load_config,
     main,
 )
@@ -72,7 +71,7 @@ class TestConfig:
     def test_round_trip(self, tmp_path):
         cfg = load_config("sweep", None, {"seed": 7})
         path = tmp_path / "cfg.json"
-        path.write_text(dump_config(cfg))
+        path.write_text(json.dumps(cfg))
         assert load_config("sweep", str(path), {}) == cfg
 
 

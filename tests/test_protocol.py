@@ -31,7 +31,6 @@ from ghznet.protocol import (
     execute,
     execute_symmetric,
     ghz_target,
-    ground_energy,
     theta,
     verify,
 )
@@ -83,7 +82,7 @@ class TestCompile:
 
     def test_phase_includes_ground_energy(self):
         plan = compile_plan(5, 1, 0.2)
-        lam0_t = ground_energy(5, 0.2) * plan.entangle_duration
+        lam0_t = 10 * 0.2 / 2 * plan.entangle_duration  # C(5, 2) gz / 2
         expect = np.exp(-1j * lam0_t) * np.exp(-1j * np.pi / 4)  # (-1)^((5-3)/2) = -1
         assert plan.expected_phase.phase == pytest.approx(expect)
 

@@ -20,9 +20,15 @@ from ghznet.symmetric import (
     ghz_w_target,
     raising_coefficients,
     uniform_superposition,
+)
+from reference import (
+    collective_ladder_dense,
+    ladder_apply,
+    not_all_dense,
+    project,
+    to_dense,
     w_state_dense,
 )
-from reference import collective_ladder_dense, ladder_apply, not_all_dense, project, to_dense
 
 
 def w_unit(n, j):
@@ -76,6 +82,13 @@ class TestWStates:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             w_state_dense(3, 4)
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_embedded_unit_vector_is_bit_identical(self, n):
+        # cmd_eigs and the demos build the dense |W_j> this way
+        for j in range(n + 1):
+            got = embed(WBasisState(n, np.eye(n + 1)[j])).amplitudes
+            assert got.tobytes() == w_state_dense(n, j).amplitudes.tobytes()
 
 
 class TestBinomials:
