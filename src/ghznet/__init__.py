@@ -20,7 +20,6 @@ from .dense import (
     all_zeros,
     basis_state,
     fidelity_frobenius,
-    global_phase_between,
 )
 from .optimizer import (
     OptimizationProblem,

@@ -42,7 +42,7 @@ from .optimizer import (
     sweep,
     write_sweep_csv,
 )
-from .protocol import DegenerateCouplingError, _verify_plan, compile_plan, ghz_target
+from .protocol import _verify_plan, compile_plan, ghz_target
 from .symmetric import WBasisState, analytic_eigenvalues, embed
 
 EXIT_OK = 0
@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     except (NoGlobalPhaseError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, DegenerateCouplingError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -25,6 +25,9 @@ from scipy.sparse import csr_matrix
 
 PairMap = dict[tuple[int, int], float]
 
+# largest qubit count held as a dense 2^N state or matrix
+MAX_DENSE_QUBITS = 14
+
 
 def check_integer_count(n: int) -> None:
     """Refuse a qubit count that is not an integer (a bool or a float included)."""
@@ -37,6 +40,13 @@ def check_qubit_count(n: int) -> None:
     check_integer_count(n)
     if n < 2:
         raise ValueError(f"need at least 2 qubits, got {n}")
+
+
+def check_dense_qubit_count(n: int) -> None:
+    """Refuse a qubit count that is not an integer in 1..MAX_DENSE_QUBITS."""
+    check_integer_count(n)
+    if not 1 <= n <= MAX_DENSE_QUBITS:
+        raise ValueError(f"dense states need 1..{MAX_DENSE_QUBITS} qubits, got {n}")
 
 
 def _all_pairs(n: int) -> list[tuple[int, int]]:
@@ -209,6 +219,7 @@ def to_sparse(graph: CouplingGraph) -> csr_matrix:
     N = 2..14.  The matrix owns its arrays, so a caller may modify it.
     """
     n = graph.n_qubits
+    check_dense_qubit_count(n)
     dim = 1 << n
     # +1 where the qubit is set, -1 where it is clear; made in place, as
     # holding the bits and the signs at once raises the peak memory

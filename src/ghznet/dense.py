@@ -7,7 +7,7 @@ the most significant position, so ``|x_1 x_2 ... x_N>`` sits at index
 ``sum_k x_k 2^(N-k)``.
 
 One Pauli convention is used throughout: the standard computational-basis
-triple returned by :func:`rotation_generator` (``z`` diagonal ``(+1, -1)``,
+triple in this module's private table (``z`` diagonal ``(+1, -1)``,
 ``sigma_x sigma_y = i sigma_z`` cyclically), so that a y-rotation by pi/2
 maps ``|0>`` to ``(|0> + |1>)/sqrt(2)``.  Every rotation of a 2^N state
 goes through :func:`rotate_amplitudes`, one 2x2 product on one qubit; the
@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import check_integer_count
-
-MAX_DENSE_QUBITS = 14
+from .couplings import MAX_DENSE_QUBITS, check_dense_qubit_count, check_integer_count
 
 NORM_ATOL = 1e-12
 PHASE_OVERLAP_ATOL = 1e-6
@@ -80,14 +78,14 @@ class GlobalPhase:
     phase: complex
 
     def __post_init__(self):
-        if abs(abs(self.phase) - 1.0) > NORM_ATOL:
+        # written so that a NaN phase fails it too
+        if not abs(abs(self.phase) - 1.0) <= NORM_ATOL:
             raise ValueError(f"|phase| = {abs(self.phase):.15g}, expected 1")
 
 
 def basis_state(n: int, bits: str) -> StateVector:
     """Computational basis state ``|bits>`` with qubit 1 as the leading bit."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_dense_qubit_count(n)
     if len(bits) != n or any(b not in "01" for b in bits):
         raise ValueError(f"bits {bits!r} is not a length-{n} bitstring")
     amps = np.zeros(1 << n, dtype=complex)
@@ -96,14 +94,8 @@ def basis_state(n: int, bits: str) -> StateVector:
 
 
 def all_zeros(n: int) -> StateVector:
+    check_dense_qubit_count(n)
     return basis_state(n, "0" * n)
-
-
-def rotation_generator(axis: str) -> np.ndarray:
-    """2x2 rotation generator (standard computational-basis Pauli)."""
-    if axis not in _PAULIS:
-        raise ValueError(f"axis must be x, y or z, got {axis!r}")
-    return _PAULIS[axis]
 
 
 def single_qubit_rotation(axis: str, angle: float) -> np.ndarray:
@@ -116,7 +108,8 @@ def single_qubit_rotation(axis: str, angle: float) -> np.ndarray:
     made complex first, as numpy promotes it, rather than left to
     Python's mixed float-complex rules.
     """
-    rotation_generator(axis)  # refuses a bad axis
+    if axis not in _ENTRY_PAIRS:
+        raise ValueError(f"axis must be x, y or z, got {axis!r}")
     c = complex(np.cos(angle / 2))
     z = 1j * np.sin(angle / 2)
     (i0, g0), (i1, g1), (i2, g2), (i3, g3) = _ENTRY_PAIRS[axis]
@@ -141,24 +134,22 @@ def rotate_amplitudes(amplitudes: np.ndarray, n: int, k: int, u: np.ndarray) -> 
     return out.reshape(2, lead, trail).transpose(1, 0, 2).reshape(-1)
 
 
-def apply_single_qubit(state: StateVector, k: int, u: np.ndarray) -> StateVector:
-    """Apply a 2x2 unitary to qubit ``k`` via tensor reshaping (no big kron)."""
+def apply_rotation(state: StateVector, k: int, axis: str, angle: float) -> StateVector:
     n = state.n_qubits
     if not 1 <= k <= n:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
+    u = single_qubit_rotation(axis, angle)
     return StateVector(n, rotate_amplitudes(state.amplitudes, n, k, u))
 
 
-def apply_rotation(state: StateVector, k: int, axis: str, angle: float) -> StateVector:
-    return apply_single_qubit(state, k, single_qubit_rotation(axis, angle))
-
-
 def apply_collective_rotation(state: StateVector, axis: str, angle: float) -> StateVector:
-    """Same rotation on every qubit."""
+    """Same rotation on every qubit, qubits in ascending order."""
+    n = state.n_qubits
     u = single_qubit_rotation(axis, angle)
-    for k in range(1, state.n_qubits + 1):
-        state = apply_single_qubit(state, k, u)
-    return state
+    amps = state.amplitudes
+    for k in range(1, n + 1):
+        amps = rotate_amplitudes(amps, n, k, u)
+    return StateVector(n, amps)
 
 
 def fidelity_frobenius(psi: StateVector, target: StateVector, align_phase: bool) -> float:
@@ -190,17 +181,11 @@ def phase_aligned(a: np.ndarray, target: np.ndarray) -> np.ndarray:
     return a * (ov.conjugate() / r) if r > 0 else a
 
 
-def global_phase_between(a: StateVector, b: StateVector) -> GlobalPhase:
-    """Unit phase phi such that a ~= phi * b; raises if not phase-equivalent."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return global_phase_between_raw(a.amplitudes, b.amplitudes)
-
-
 def global_phase_between_raw(a: np.ndarray, b: np.ndarray) -> GlobalPhase:
-    """:func:`global_phase_between` on raw amplitude vectors of equal length."""
+    """Unit phase phi with a ~= phi * b, for raw vectors of equal length;
+    :class:`NoGlobalPhaseError` if there is none (a NaN state included)."""
     ov = np.vdot(b, a)
-    if abs(ov) < 1.0 - PHASE_OVERLAP_ATOL:
+    if not abs(ov) >= 1.0 - PHASE_OVERLAP_ATOL:
         raise NoGlobalPhaseError(
             f"states are not equal up to a global phase (|<b|a>| = {abs(ov):.9f})"
         )

@@ -56,7 +56,6 @@ from .protocol import (
     ProtocolPlan,
     Pulse,
     compile_plan,
-    entangling_time,
     ghz_target,
     rotate_pulses,
 )
@@ -400,7 +399,7 @@ def correction_row(
     three final x angles in units of pi/2, the optimized and the
     uncorrected fidelity, and whether the best start converged.
     """
-    t_ref = entangling_time(problem.graph.g_ref, problem.graph.gz_ref)
+    t_ref = problem.plan.entangle_duration
     values = (
         eta13, result.t_opt / t_ref, *(result.angles_opt / (np.pi / 2)),
         result.fidelity, uncorrected_fidelity(problem),
@@ -438,7 +437,7 @@ def sweep(
         try:
             row = correction_row(eta13, problem, optimize(problem, config))
         # failed rows are reported, not dropped; any other error is a bug
-        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             row = {
                 "eta13": eta13, **dict.fromkeys(SWEEP_COLUMNS[1:], np.nan),
                 "converged": False, "error": f"{type(exc).__name__}: {exc}",

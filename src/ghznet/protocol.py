@@ -38,14 +38,15 @@ import numpy as np
 
 from .chebyshev import PropagationError, chebyshev_propagate
 from .couplings import (
+    MAX_DENSE_QUBITS,
     CouplingGraph,
     _exchange_pattern,
+    check_dense_qubit_count,
     check_qubit_count,
     ideal,
     to_sparse,
 )
 from .dense import (
-    MAX_DENSE_QUBITS,
     GlobalPhase,
     StateVector,
     all_zeros,
@@ -57,6 +58,7 @@ from .dense import (
 )
 from .symmetric import (
     WBasisState,
+    _eigenvalue,
     analytic_eigenvalues,
     collective_rotation,
     embed,
@@ -92,6 +94,7 @@ class GhzTarget:
 
 def ghz_target(n: int) -> GhzTarget:
     check_qubit_count(n)
+    check_dense_qubit_count(n)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return GhzTarget(n, StateVector(n, amps))
@@ -99,14 +102,20 @@ def ghz_target(n: int) -> GhzTarget:
 
 def entangling_time(g: float, gz: float) -> float:
     """t = pi / (2|g - gz|), the time printing the GHZ branch phases."""
-    # an infinite g - gz (finite couplings can overflow) would give t = 0
-    if not math.isfinite(g - gz):
-        raise ValueError(f"g, gz and g - gz must be finite, got g = {g}, gz = {gz}")
+    # an infinite 2|g - gz| (finite couplings can overflow) would give t = 0
+    width = 2.0 * abs(g - gz)
+    if not math.isfinite(width):
+        raise ValueError(f"g, gz and 2|g - gz| must be finite, got g = {g}, gz = {gz}")
     if g == gz:
         raise DegenerateCouplingError(
             f"g = gz = {g}: isotropic coupling cannot entangle the uniform state"
         )
-    return np.pi / (2.0 * abs(g - gz))
+    t = np.pi / width
+    if math.isinf(t):
+        raise DegenerateCouplingError(
+            f"|g - gz| = {abs(g - gz)} is too small: the entangling time overflows"
+        )
+    return t
 
 
 def theta(n: int) -> float:
@@ -190,7 +199,7 @@ def compile_plan(n: int, g: float, gz: float) -> ProtocolPlan:
     """
     check_qubit_count(n)
     t = entangling_time(g, gz)
-    branch_phase = np.exp(-1j * analytic_eigenvalues(n, g, gz)[0] * t)
+    branch_phase = np.exp(-1j * _eigenvalue(0.0, n, g, gz) * t)
     if n % 2 == 1:
         finals = [Pulse("x", np.pi / 2)]
         family = np.exp(1j * (-1) ** ((n - 3) // 2) * np.pi / 4)

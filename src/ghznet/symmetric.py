@@ -32,8 +32,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .chebyshev import chebyshev_propagate
-from .couplings import check_integer_count, check_qubit_count
-from .dense import MAX_DENSE_QUBITS, StateVector
+from .couplings import MAX_DENSE_QUBITS, check_integer_count, check_qubit_count
+from .dense import StateVector
 
 
 def binomial_row(n: int) -> np.ndarray:
@@ -75,9 +75,19 @@ def analytic_eigenvalues(n: int, g: float, gz: float) -> np.ndarray:
     lambda_j = lambda_{N-j} is exact as computed.
     """
     check_qubit_count(n)
-    j = np.arange(n + 1, dtype=float)
-    pairs = 0.5 * n * (n - 1)
-    return j * (n - j) * (g - gz) + pairs * (gz / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = _eigenvalue(np.arange(n + 1, dtype=float), n, g, gz)
+    if not np.isfinite(lam).all():
+        raise ValueError(f"eigenvalues at N = {n}, g = {g}, gz = {gz} are not finite")
+    return lam
+
+
+def _eigenvalue(j, n: int, g: float, gz: float):
+    """lambda_j for a float j or an array of them; at j = 0.0 this is
+    lambda_0 with the bits of ``analytic_eigenvalues(n, g, gz)[0]``
+    (the 0.0 * (g - gz) term keeps the sign of a zero), without building
+    the other N eigenvalues."""
+    return j * (n - j) * (g - gz) + 0.5 * n * (n - 1) * (gz / 2.0)
 
 
 def popcounts(n: int) -> np.ndarray:
@@ -152,6 +162,9 @@ def collective_rotation(state: WBasisState, axis: str, angle: float) -> WBasisSt
 def uniform_superposition(n: int) -> WBasisState:
     """The collective y pi/2 rotation of |W_0> = |0...0>, in closed form:
     c_j = sqrt(C(N,j)) / 2^(N/2), from log-gamma (finite at any N)."""
+    check_integer_count(n)
+    if n < 1:
+        raise ValueError(f"n_qubits must be >= 1, got {n}")
     j = np.arange(n + 1, dtype=float)
     log_c = 0.5 * (gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1))
     # sum_j C(N,j) = 2^N, so normalizing supplies the 2^(-N/2)

@@ -4,8 +4,9 @@ Kronecker-product Paulis and rotations, a dense Hamiltonian with
 eigendecomposition evolution, the COO-assembled sparse Hamiltonian, the
 dense generalized W states, and the collective ladder operators in both
 the W basis and the full 2^N space.  None of these runs in the package:
-they are independent oracles for its matrix-free kernels, in the same
-Pauli convention as :mod:`ghznet.dense`.
+they are independent oracles for its matrix-free kernels.  The Pauli
+matrices are written out here, not taken from the package, so the
+oracles do not inherit the convention of the code they check.
 """
 
 from __future__ import annotations
@@ -16,13 +17,8 @@ import numpy as np
 
 from scipy.sparse import csr_matrix
 
-from ghznet.couplings import CouplingGraph, _bit_arrays, to_sparse
-from ghznet.dense import (
-    MAX_DENSE_QUBITS,
-    StateVector,
-    rotation_generator,
-    single_qubit_rotation,
-)
+from ghznet.couplings import MAX_DENSE_QUBITS, CouplingGraph, _bit_arrays, to_sparse
+from ghznet.dense import StateVector, single_qubit_rotation
 from ghznet.symmetric import (
     WBasisState,
     binomial_row,
@@ -32,6 +28,13 @@ from ghznet.symmetric import (
 )
 
 HERMITIAN_ATOL = 1e-12
+
+# the standard computational-basis Paulis: z|0> = +|0>, x y = i z
+PAULIS = {
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ def pauli_on(n: int, k: int, axis: str) -> DenseOperator:
     """
     if not 1 <= k <= n:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
-    return DenseOperator(1 << n, _embed_single(n, k, rotation_generator(axis)), hermitian=True)
+    return DenseOperator(1 << n, _embed_single(n, k, PAULIS[axis]), hermitian=True)
 
 
 def rotation_matrix(axis: str, angle: float) -> np.ndarray:
@@ -87,7 +90,7 @@ def rotation_matrix(axis: str, angle: float) -> np.ndarray:
     :func:`ghznet.dense.single_qubit_rotation` used first; its bytes are
     the ones the package's scalar-built matrix must reproduce."""
     identity = np.eye(2, dtype=complex)
-    return np.cos(angle / 2) * identity - 1j * np.sin(angle / 2) * rotation_generator(axis)
+    return np.cos(angle / 2) * identity - 1j * np.sin(angle / 2) * PAULIS[axis]
 
 
 def rotation_on(n: int, k: int, axis: str, angle: float) -> DenseOperator:
@@ -225,7 +228,6 @@ def collective_ladder_dense(n: int, which: str) -> np.ndarray:
 def not_all_dense(n: int) -> np.ndarray:
     """X tensor ... tensor X (global bit flip)."""
     out = np.array([[1.0 + 0.0j]])
-    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     for _ in range(n):
-        out = np.kron(out, x)
+        out = np.kron(out, PAULIS["x"])
     return out

@@ -234,7 +234,14 @@ class TestCommands:
         assert main(["star2delta", "--", "-1.0", "3"]) == EXIT_INPUT
 
     @pytest.mark.parametrize(
-        "argv", [["--n", "7", "--g", "nan"], ["--n", "3", "--gz", "inf"]]
+        "argv",
+        [
+            ["--n", "7", "--g", "nan"],
+            ["--n", "3", "--gz", "inf"],
+            # 2|g - gz| overflows (t = 0); lambda_0 overflows (a NaN phase)
+            ["--n", "3", "--g", "0", "--gz", "1e308"],
+            ["--n", "15", "--g", "1e308", "--gz", "5e307", "--engine", "symmetric"],
+        ],
     )
     def test_protocol_non_finite_coupling_is_input_error(self, argv, capsys):
         assert main(["protocol", *argv]) == EXIT_INPUT

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghznet.couplings import (
+    MAX_DENSE_QUBITS,
     CouplingGraph,
     ideal,
     perturbed_general,
@@ -16,7 +17,7 @@ from ghznet.couplings import (
     to_sparse,
 )
 from ghznet.chebyshev import PropagationError
-from ghznet.dense import StateVector
+from ghznet.dense import StateVector, all_zeros, basis_state
 from ghznet.protocol import compile_plan, entangling_time, ghz_target, verify
 from ghznet.symmetric import (
     WBasisState,
@@ -121,7 +122,7 @@ class TestConstructors:
         # from the numerics, on either engine
         for g, gz in [
             (math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0), (1.0, -math.inf),
-            (math.inf, math.inf), (1e308, -1e308),
+            (math.inf, math.inf), (1e308, -1e308), (0.0, 1e308), (-1e308, 1e-300),
         ]:
             for engine in ("dense", "symmetric"):
                 with pytest.raises(ValueError, match="finite") as exc:
@@ -142,8 +143,24 @@ class TestConstructors:
             lambda: ghz_w_target(n),
             lambda: StateVector(n, np.zeros(8)),
             lambda: WBasisState(n, np.zeros(4)),
+            lambda: basis_state(n, "000"),
+            lambda: all_zeros(n),
         ):
             with pytest.raises(ValueError, match="integer"):
+                build()
+
+    def test_dense_builders_refuse_counts_above_the_cap(self):
+        # only the first count above the cap: a larger one would allocate
+        # for real wherever the cap is missing
+        n = MAX_DENSE_QUBITS + 1
+        for build in (
+            lambda: basis_state(n, "0" * n),
+            lambda: all_zeros(n),
+            lambda: ghz_target(n),
+            lambda: to_sparse(ideal(n, 1.0, 0.05)),
+            lambda: verify(n, 1.0, 0.05),
+        ):
+            with pytest.raises(ValueError, match="dense"):
                 build()
 
     @pytest.mark.parametrize("n", [True, 3.0, 2.7, np.float64(3), 5.0])

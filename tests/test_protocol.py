@@ -47,8 +47,10 @@ class TestTiming:
         assert entangling_time(0.2, 1.0) == pytest.approx(entangling_time(1.0, 0.2))
 
     def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateCouplingError):
-            entangling_time(0.7, 0.7)
+        # |g - gz| = 1e-310 is not 0, but t overflows to inf
+        for g, gz in [(0.7, 0.7), (1e-310, 0.0)]:
+            with pytest.raises(DegenerateCouplingError):
+                entangling_time(g, gz)
 
 
 class TestTheta:
@@ -95,6 +97,11 @@ class TestCompile:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateCouplingError):
             compile_plan(4, 1.0, 1.0)
+
+    def test_overflowing_ground_energy_rejected(self):
+        # lambda_0 = C(15, 2) gz / 2 overflows, so the expected phase is NaN
+        with pytest.raises(ValueError, match="expected 1"):
+            compile_plan(15, 1e308, 5e307)
 
     def test_per_qubit_keeps_single_qubit_pulses_in_order(self):
         plan = compile_plan(2, 0.5, 1.0)
