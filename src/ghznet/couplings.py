@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -29,29 +29,35 @@ PairMap = dict[tuple[int, int], float]
 MAX_DENSE_QUBITS = 14
 
 
-def check_integer_count(n: int) -> None:
-    """Refuse a qubit count that is not an integer (a bool or a float included)."""
+def check_qubit_count(n: int, minimum: int = 2) -> int:
+    """``n`` as an int, if it is an integer (not a bool) >= ``minimum``."""
     if isinstance(n, bool) or not isinstance(n, Integral):
         raise ValueError(f"qubit count must be an integer, got {n!r}")
+    if n < minimum:
+        raise ValueError(f"need at least {minimum} qubits, got {n}")
+    return int(n)
 
 
-def check_qubit_count(n: int) -> None:
-    """Refuse a qubit count that is not an integer >= 2."""
-    check_integer_count(n)
-    if n < 2:
-        raise ValueError(f"need at least 2 qubits, got {n}")
-
-
-def check_dense_qubit_count(n: int) -> None:
-    """Refuse a qubit count that is not an integer in 1..MAX_DENSE_QUBITS."""
-    check_integer_count(n)
-    if not 1 <= n <= MAX_DENSE_QUBITS:
+def check_dense_qubit_count(n: int, minimum: int = 1) -> int:
+    """:func:`check_qubit_count`, and at most ``MAX_DENSE_QUBITS``."""
+    n = check_qubit_count(n, minimum)
+    if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense states need 1..{MAX_DENSE_QUBITS} qubits, got {n}")
+    return n
+
+
+def check_real(x: float, name: str) -> float:
+    """``x`` as a Python float, if it is a real number (not a bool) in the float range."""
+    try:
+        if isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x):
+            return float(x)
+    except OverflowError:  # an int or a fraction beyond the float range
+        pass
+    raise ValueError(f"{name} must be a finite real number, got {x!r}")
 
 
 def _all_pairs(n: int) -> list[tuple[int, int]]:
-    """Pairs (l, k), l < k, of n qubits; n must be an integer >= 2."""
-    check_qubit_count(n)
+    """Pairs (l, k), l < k, of n qubits, for an n :func:`check_qubit_count` returned."""
     return [(l, k) for l in range(1, n + 1) for k in range(l + 1, n + 1)]
 
 
@@ -66,15 +72,17 @@ class CouplingGraph:
     gz_ref: float
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", check_qubit_count(self.n_qubits))
         pairs = set(_all_pairs(self.n_qubits))
         for name, m in (("xy", self.xy), ("zz", self.zz)):
             if set(m) != pairs:
                 raise ValueError(
-                    f"{name} map must cover exactly the {len(pairs)} pairs (l, k) with l < k"
+                    f"{name} map must cover exactly the {len(pairs)} pairs (l, k) with l < k: "
+                    f"missing {sorted(pairs - set(m))}, outside {sorted(set(m) - pairs)}"
                 )
-        values = (*self.xy.values(), *self.zz.values(), self.g_ref, self.gz_ref)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("couplings and reference values must be finite")
+            object.__setattr__(self, name, {p: check_real(v, name) for p, v in m.items()})
+        for name in ("g_ref", "gz_ref"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
 
     def is_ideal(self) -> bool:
         """True when every pair sits exactly at the reference couplings."""
@@ -86,7 +94,7 @@ class CouplingGraph:
 
 def ideal(n: int, g: float, gz: float) -> CouplingGraph:
     """Uniform couplings g (XY) and gz (ZZ) on all C(n,2) pairs."""
-    pairs = _all_pairs(n)
+    pairs = _all_pairs(check_qubit_count(n))
     return CouplingGraph(n, {p: g for p in pairs}, {p: gz for p in pairs}, g, gz)
 
 
@@ -106,6 +114,8 @@ def perturbed_n3(
     keeps the same anisotropy ratio), while ``zz_mode="uniform"`` puts
     kappa*g12 on every pair.
     """
+    names = ("g12", "eta23", "eta13", "kappa")
+    g12, eta23, eta13, kappa = map(check_real, (g12, eta23, eta13, kappa), names)
     if g12 <= 0:
         raise ValueError(f"reference coupling must be positive, got {g12}")
     if not (0 <= eta23 < 1 and 0 <= eta13 < 1):
@@ -127,18 +137,14 @@ def perturbed_general(
     xy_multipliers: PairMap,
 ) -> CouplingGraph:
     """XY couplings g_ref * multiplier per pair; ZZ uniform at gz_ref."""
-    pairs = _all_pairs(n)
-    missing = [p for p in pairs if p not in xy_multipliers]
-    if missing:
-        raise ValueError(f"missing XY multipliers for pairs {missing}")
-    extra = sorted(set(xy_multipliers) - set(pairs))
-    if extra:
-        raise ValueError(f"XY multipliers for pairs {extra} outside the {n}-qubit graph")
-    for p, m in xy_multipliers.items():
+    g_ref = check_real(g_ref, "g_ref")
+    zz = {p: gz_ref for p in _all_pairs(check_qubit_count(n))}
+    multipliers = {p: check_real(m, f"multiplier {p}") for p, m in xy_multipliers.items()}
+    for p, m in multipliers.items():
         if not 0 < m <= 2:
             raise ValueError(f"multiplier {m} for pair {p} outside (0, 2]")
-    xy = {p: g_ref * xy_multipliers[p] for p in pairs}
-    zz = {p: gz_ref for p in pairs}
+    # CouplingGraph refuses multipliers for pairs missing or outside the graph
+    xy = {p: g_ref * m for p, m in multipliers.items()}
     return CouplingGraph(n, xy, zz, g_ref, gz_ref)
 
 
@@ -218,8 +224,7 @@ def to_sparse(graph: CouplingGraph) -> csr_matrix:
     0.3, 0.7, 1.7 and 4.0 MB at N = 11, 12, 13 and 14, 7.0 MB for all of
     N = 2..14.  The matrix owns its arrays, so a caller may modify it.
     """
-    n = graph.n_qubits
-    check_dense_qubit_count(n)
+    n = check_dense_qubit_count(graph.n_qubits)
     dim = 1 << n
     # +1 where the qubit is set, -1 where it is clear; made in place, as
     # holding the bits and the signs at once raises the peak memory
@@ -243,8 +248,8 @@ def to_sparse(graph: CouplingGraph) -> csr_matrix:
 
 def star_to_delta(c_star: float, n: int) -> float:
     """Complete-graph pair capacitance equivalent to a common-island star: C/n."""
-    if not (math.isfinite(c_star) and c_star > 0):
+    c_star = check_real(c_star, "capacitance")
+    if c_star <= 0:
         raise ValueError(f"capacitance must be positive and finite, got {c_star}")
-    check_qubit_count(n)
-    return c_star / n
+    return c_star / check_qubit_count(n)
 

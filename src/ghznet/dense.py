@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import MAX_DENSE_QUBITS, check_dense_qubit_count, check_integer_count
+from .couplings import check_dense_qubit_count
 
 NORM_ATOL = 1e-12
 PHASE_OVERLAP_ATOL = 1e-6
@@ -52,9 +52,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        check_integer_count(self.n_qubits)
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        object.__setattr__(self, "n_qubits", check_dense_qubit_count(self.n_qubits))
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (1 << self.n_qubits,):
             raise ValueError(
@@ -85,7 +83,7 @@ class GlobalPhase:
 
 def basis_state(n: int, bits: str) -> StateVector:
     """Computational basis state ``|bits>`` with qubit 1 as the leading bit."""
-    check_dense_qubit_count(n)
+    n = check_dense_qubit_count(n)
     if len(bits) != n or any(b not in "01" for b in bits):
         raise ValueError(f"bits {bits!r} is not a length-{n} bitstring")
     amps = np.zeros(1 << n, dtype=complex)
@@ -94,7 +92,7 @@ def basis_state(n: int, bits: str) -> StateVector:
 
 
 def all_zeros(n: int) -> StateVector:
-    check_dense_qubit_count(n)
+    n = check_dense_qubit_count(n)
     return basis_state(n, "0" * n)
 
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import CouplingGraph, perturbed_n3
+from .couplings import CouplingGraph, check_real, perturbed_n3
 from .dense import StateVector, fidelity_frobenius_raw, single_qubit_rotation
 from .protocol import (
     HamiltonianPropagator,
@@ -429,7 +429,7 @@ def sweep(
     g = gz) raises ``ValueError`` and no row is returned; a row whose
     optimization fails is marked with ``error`` instead of being dropped.
     """
-    etas = [float(eta13) for eta13 in eta13_values]
+    etas = [check_real(eta13, "eta13") for eta13 in eta13_values]
     graphs = (perturbed_n3(g12, eta23, eta13, kappa, zz_mode=zz_mode) for eta13 in etas)
     problems = [problem_odd(graph) for graph in graphs]
     rows = []

@@ -32,6 +32,7 @@ above N = 6 more than once, so it would never pay for itself there.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,6 +44,7 @@ from .couplings import (
     _exchange_pattern,
     check_dense_qubit_count,
     check_qubit_count,
+    check_real,
     ideal,
     to_sparse,
 )
@@ -93,8 +95,7 @@ class GhzTarget:
 
 
 def ghz_target(n: int) -> GhzTarget:
-    check_qubit_count(n)
-    check_dense_qubit_count(n)
+    n = check_dense_qubit_count(n, minimum=2)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return GhzTarget(n, StateVector(n, amps))
@@ -102,6 +103,7 @@ def ghz_target(n: int) -> GhzTarget:
 
 def entangling_time(g: float, gz: float) -> float:
     """t = pi / (2|g - gz|), the time printing the GHZ branch phases."""
+    g, gz = check_real(g, "g"), check_real(gz, "gz")
     # an infinite 2|g - gz| (finite couplings can overflow) would give t = 0
     width = 2.0 * abs(g - gz)
     if not math.isfinite(width):
@@ -120,6 +122,7 @@ def entangling_time(g: float, gz: float) -> float:
 
 def theta(n: int) -> float:
     """Final z angle on qubit 1 for even N: (pi/2)(2 + (-1)^(N/2))."""
+    n = check_qubit_count(n)
     if n % 2 != 0:
         raise ValueError(f"theta is defined for even qubit counts, got {n}")
     return (np.pi / 2.0) * (2 + (-1) ** (n // 2))
@@ -150,6 +153,7 @@ class ProtocolPlan:
     expected_phase: GlobalPhase
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", check_qubit_count(self.n_qubits))
         for p in self.finals:
             if p.axis not in ("x", "y", "z"):
                 raise ValueError(f"pulse axis must be x, y or z, got {p.axis!r}")
@@ -197,9 +201,13 @@ def compile_plan(n: int, g: float, gz: float) -> ProtocolPlan:
     compiled correction (z pi/2 on two qubits) leaves the total expected
     phase at -e^{-i lambda_0 t}.
     """
-    check_qubit_count(n)
+    n, g, gz = check_qubit_count(n), check_real(g, "g"), check_real(gz, "gz")
     t = entangling_time(g, gz)
-    branch_phase = np.exp(-1j * _eigenvalue(0.0, n, g, gz) * t)
+    # an N beyond the float range has no float C(N,2)
+    lam0 = _eigenvalue(0.0, n, g, gz) if n <= sys.float_info.max else math.inf
+    if not math.isfinite(lam0 * t):
+        raise ValueError(f"lambda_0 t overflows at N = {n}, g = {g}, gz = {gz}")
+    branch_phase = np.exp(-1j * lam0 * t)
     if n % 2 == 1:
         finals = [Pulse("x", np.pi / 2)]
         family = np.exp(1j * (-1) ** ((n - 3) // 2) * np.pi / 4)
@@ -372,10 +380,7 @@ def execute(
     n = plan.n_qubits
     if graph.n_qubits != n:
         raise ValueError(f"plan is for {n} qubits but graph has {graph.n_qubits}")
-    if n > MAX_DENSE_QUBITS:
-        raise EngineCapabilityError(
-            f"execute returns a dense state, limited to {MAX_DENSE_QUBITS} qubits, got {n}"
-        )
+    _check_dense_engine(n)
     if engine == "dense":
         amps = HamiltonianPropagator(graph).propagate_prepared(plan.entangle_duration)
         pulses = plan.finals
@@ -402,22 +407,24 @@ def verify(
     The dense engine is limited to N <= 14; the symmetric engine runs both
     parities in the W basis, with 1 - F growing as N^2 (2e-8 at N = 30001).
     """
-    return _verify_plan(compile_plan(n, g, gz), g, gz, engine)
-
-
-def _verify_plan(
-    plan: ProtocolPlan, g: float, gz: float, engine: str
-) -> tuple[float, GlobalPhase]:
-    """:func:`verify` for an already compiled plan of the (g, gz) network."""
+    plan = compile_plan(n, g, gz)
     n = plan.n_qubits
     if engine == "symmetric":
         w, rest = _run_w_basis(plan, g, gz)
         psi, target = w.coeffs, _pulled_back_ghz(n, rest)
     else:
+        _check_dense_engine(n)  # before building C(N,2) pairs for nothing
         psi = execute(plan, ideal(n, g, gz), engine=engine).amplitudes
         target = ghz_target(n).state.amplitudes
     fid = fidelity_frobenius_raw(psi, target, align_phase=True)
     return fid, global_phase_between_raw(psi, target)
+
+
+def _check_dense_engine(n: int) -> None:
+    if n > MAX_DENSE_QUBITS:
+        raise EngineCapabilityError(
+            f"execute returns a dense state, limited to {MAX_DENSE_QUBITS} qubits, got {n}"
+        )
 
 
 def _pulled_back_ghz(n: int, pulses: tuple[Pulse, ...]) -> np.ndarray:

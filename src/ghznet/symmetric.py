@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .chebyshev import chebyshev_propagate
-from .couplings import MAX_DENSE_QUBITS, check_integer_count, check_qubit_count
+from .couplings import check_dense_qubit_count, check_qubit_count, check_real
 from .dense import StateVector
 
 
@@ -53,9 +53,7 @@ class WBasisState:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        check_integer_count(self.n_qubits)
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        object.__setattr__(self, "n_qubits", check_qubit_count(self.n_qubits, minimum=1))
         c = np.asarray(self.coeffs, dtype=complex)
         if c.shape != (self.n_qubits + 1,):
             raise ValueError(
@@ -74,7 +72,7 @@ def analytic_eigenvalues(n: int, g: float, gz: float) -> np.ndarray:
     eigenenergy shared by |0...0> and |1...1>; the symmetry
     lambda_j = lambda_{N-j} is exact as computed.
     """
-    check_qubit_count(n)
+    n, g, gz = check_qubit_count(n), check_real(g, "g"), check_real(gz, "gz")
     with np.errstate(over="ignore", invalid="ignore"):
         lam = _eigenvalue(np.arange(n + 1, dtype=float), n, g, gz)
     if not np.isfinite(lam).all():
@@ -162,9 +160,7 @@ def collective_rotation(state: WBasisState, axis: str, angle: float) -> WBasisSt
 def uniform_superposition(n: int) -> WBasisState:
     """The collective y pi/2 rotation of |W_0> = |0...0>, in closed form:
     c_j = sqrt(C(N,j)) / 2^(N/2), from log-gamma (finite at any N)."""
-    check_integer_count(n)
-    if n < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n}")
+    n = check_qubit_count(n, minimum=1)
     j = np.arange(n + 1, dtype=float)
     log_c = 0.5 * (gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1))
     # sum_j C(N,j) = 2^N, so normalizing supplies the 2^(-N/2)
@@ -174,9 +170,7 @@ def uniform_superposition(n: int) -> WBasisState:
 
 def embed(state: WBasisState) -> StateVector:
     """Dense reconstruction sum_j coeff_j |W_j>."""
-    n = state.n_qubits
-    if n > MAX_DENSE_QUBITS:
-        raise ValueError(f"embedding limited to n <= {MAX_DENSE_QUBITS}")
+    n = check_dense_qubit_count(state.n_qubits)
     pop = popcounts(n)
     weights = state.coeffs / np.sqrt(binomial_row(n))
     return StateVector(n, weights[pop].astype(complex))
@@ -184,7 +178,7 @@ def embed(state: WBasisState) -> StateVector:
 
 def ghz_w_target(n: int) -> WBasisState:
     """The GHZ state in the W basis: 1/sqrt(2) at j = 0 and j = N."""
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     c = np.zeros(n + 1, dtype=complex)
     c[0] = c[n] = 1.0 / np.sqrt(2.0)
     return WBasisState(n, c)

@@ -1,9 +1,15 @@
 """End-to-end CLI tests: configs, subcommands, file outputs, exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghznet.cli import (
     ConfigError,
@@ -289,3 +295,74 @@ class TestCommands:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nope": 1}))
         assert main(["eigs", "--config", str(cfg)]) == EXIT_INPUT
+
+
+# -------------------------------------------------------------- generated argv
+
+# values for every numeric flag: edge numbers, then strings that parse as none
+EDGE_VALUES = [
+    "0", "1", "-1", "-3", "15", "nan", "inf", "-inf", "1e308", "-1e308", "5e307",
+    "5e-324", "1e-310", "0.05", "0.5", "2.5", "3.0",
+]
+JUNK = st.text(alphabet="abe.-+x ,", max_size=4)
+VALUE = st.one_of(st.sampled_from(EDGE_VALUES), JUNK, st.floats(-2.0, 2.0).map(repr))
+
+
+def _count(largest: int):
+    """A qubit-count value: an integer up to ``largest`` (so no run is
+    large), an edge value or junk."""
+    return st.one_of(st.integers(-2, largest).map(str), st.sampled_from(EDGE_VALUES), JUNK)
+
+
+@st.composite
+def _flags(draw, **values):
+    """``--key=value`` for a drawn subset of the keyword strategies."""
+    argv = []
+    for key, strategy in values.items():
+        if draw(st.booleans()):
+            flag = "--n" if key == "n_qubits" else "--" + key.replace("_", "-")
+            argv.append(f"{flag}={draw(strategy)}")
+    return argv
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["eigs", "protocol", "star2delta", "optimize", "sweep"]))
+    if command == "eigs":
+        return ["eigs", *draw(_flags(n_qubits=_count(8), g=VALUE, gz=VALUE))]
+    if command == "protocol":
+        engine = draw(st.sampled_from(["dense", "symmetric", "qutrit"]))
+        n = _count(1001 if engine == "symmetric" else 6)
+        flags = draw(_flags(n_qubits=n, g=VALUE, gz=VALUE, report_mhz=VALUE))
+        return ["protocol", f"--engine={engine}", *flags]
+    if command == "star2delta":
+        if draw(st.booleans()):
+            return ["star2delta", draw(VALUE), draw(_count(20))]
+        return ["star2delta", *draw(_flags(c_star=VALUE, n_qubits=_count(20)))]
+    couplings = {"g12": VALUE, "eta23": VALUE, "kappa": VALUE, "zz_mode": st.just("uniform")}
+    pinned = ["--restarts=1", "--max-evals=50"]
+    if command == "optimize":
+        return ["optimize", *pinned, *draw(_flags(eta13=VALUE, **couplings))]
+    grid = draw(_flags(eta13_start=VALUE, eta13_stop=VALUE))
+    return ["sweep", *pinned, "--eta13-steps=2", *grid, *draw(_flags(**couplings))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=cli_argv())
+def test_generated_argv_exits_cleanly(argv):
+    # a fresh directory per example: hypothesis cannot share tmp_path, and
+    # the commands write their default outputs into the working directory
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as d:
+        os.chdir(d)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                code = main(argv)
+            written = os.listdir(d)
+        finally:
+            os.chdir(cwd)
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERICAL)
+    if code == EXIT_INPUT:
+        assert written == [], f"exit 1 left {written}"

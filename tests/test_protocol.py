@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import identity
 
-from ghznet import chebyshev
+from ghznet import chebyshev, protocol
 from ghznet.couplings import ideal, perturbed_general, perturbed_n3
 from ghznet.dense import (
     StateVector,
@@ -25,7 +25,7 @@ from ghznet.protocol import (
     ProtocolPlan,
     Pulse,
     _prepared,
-    _verify_plan,
+    _pulled_back_ghz,
     compile_plan,
     entangling_time,
     execute,
@@ -99,9 +99,14 @@ class TestCompile:
             compile_plan(4, 1.0, 1.0)
 
     def test_overflowing_ground_energy_rejected(self):
-        # lambda_0 = C(15, 2) gz / 2 overflows, so the expected phase is NaN
-        with pytest.raises(ValueError, match="expected 1"):
+        # lambda_0 = C(15, 2) gz / 2 overflows, so the expected phase would be NaN
+        with pytest.raises(ValueError, match=r"lambda_0 t overflows at N = 15, g = 1e\+308"):
             compile_plan(15, 1e308, 5e307)
+
+    def test_count_beyond_the_float_range_rejected(self):
+        # C(N,2) of N = 10^400 has no float value; the error names the input
+        with pytest.raises(ValueError, match=r"lambda_0 t overflows at N = 1000"):
+            compile_plan(10**400, 1.0, 0.05)
 
     def test_per_qubit_keeps_single_qubit_pulses_in_order(self):
         plan = compile_plan(2, 0.5, 1.0)
@@ -236,8 +241,21 @@ class TestExecuteAndVerify:
             n, 0.7, (Pulse("x", 0.3), Pulse("z", 0.2, 1), Pulse("y", 0.4, 2)),
             compile_plan(n, 1, 0.05).expected_phase,
         )
+        # what a W-basis run leaves after the leading collective pulse
         with pytest.raises(EngineCapabilityError):
-            _verify_plan(plan, 1, 0.05, "symmetric")
+            _pulled_back_ghz(n, plan.finals[1:])
+
+    def test_dense_verify_refuses_beyond_the_cap_before_building_the_graph(self, monkeypatch):
+        # ideal(2000, ...) would list ~2e6 pairs and build a CouplingGraph of
+        # them just to be refused by execute; fail here instead of allocating
+        def small_ideal(n, g, gz):
+            assert n <= 14, f"built a {n}-qubit graph the dense engine refuses"
+            return ideal(n, g, gz)
+
+        monkeypatch.setattr(protocol, "ideal", small_ideal)
+        with pytest.raises(EngineCapabilityError, match="limited to 14 qubits, got 2000"):
+            verify(2000, 1.0, 0.05)
+        assert verify(4, 1.0, 0.05)[0] == pytest.approx(1.0)
 
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError):
