@@ -29,13 +29,19 @@ PairMap = dict[tuple[int, int], float]
 MAX_DENSE_QUBITS = 14
 
 
+def check_integer(x: int, name: str) -> int:
+    """``x`` as an int, if it is an integer (not a bool)."""
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 def check_qubit_count(n: int, minimum: int = 2) -> int:
     """``n`` as an int, if it is an integer (not a bool) >= ``minimum``."""
-    if isinstance(n, bool) or not isinstance(n, Integral):
-        raise ValueError(f"qubit count must be an integer, got {n!r}")
+    n = check_integer(n, "qubit count")
     if n < minimum:
         raise ValueError(f"need at least {minimum} qubits, got {n}")
-    return int(n)
+    return n
 
 
 def check_dense_qubit_count(n: int, minimum: int = 1) -> int:

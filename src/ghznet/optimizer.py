@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import CouplingGraph, check_real, perturbed_n3
+from .couplings import CouplingGraph, check_integer, check_real, perturbed_n3
 from .dense import StateVector, fidelity_frobenius_raw, single_qubit_rotation
 from .protocol import (
     HamiltonianPropagator,
@@ -119,7 +119,7 @@ class OptimizationProblem:
         us = list(self._matrices)
         for i, angle in zip(self.free, angles):
             us[i] = single_qubit_rotation(finals[i].axis, angle)
-        amps = self._propagator.propagate_prepared(t)
+        amps = self._propagator.propagate(t)
         amps = rotate_pulses(amps, self.n_qubits, finals, us)
         return amps * self._phase_conj
 
@@ -132,13 +132,15 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_evals", "restarts", "seed"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
+        object.__setattr__(self, "tolerance", check_real(self.tolerance, "tolerance"))
         # no evaluation means no start-0 result to fall back on
         if self.max_evals < 1:
             raise ValueError(f"max_evals must be >= 1, got {self.max_evals}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        # "not >= 0", so that NaN is refused too
-        if not self.tolerance >= 0:
+        if self.tolerance < 0:
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
         # default_rng refuses it too, but only once sweep is under way,
         # which would record bad input as failed rows
@@ -425,11 +427,15 @@ def sweep(
     """Optimize the three-qubit correction over a grid of eta13 deficits.
 
     Each row is a :func:`correction_row`.  Every problem is built before
-    the first optimization, so bad input (a deficit outside [0, 1),
-    g = gz) raises ``ValueError`` and no row is returned; a row whose
-    optimization fails is marked with ``error`` instead of being dropped.
+    the first optimization, so bad input (an empty grid, a deficit outside
+    [0, 1), g = gz) raises ``ValueError`` and no row is returned; a row
+    whose optimization fails is marked with ``error`` instead of being
+    dropped.
     """
     etas = [check_real(eta13, "eta13") for eta13 in eta13_values]
+    # an empty grid would write a header-only CSV
+    if not etas:
+        raise ValueError("eta13 grid is empty: a sweep needs at least one deficit")
     graphs = (perturbed_n3(g12, eta23, eta13, kappa, zz_mode=zz_mode) for eta13 in etas)
     problems = [problem_odd(graph) for graph in graphs]
     rows = []

@@ -19,14 +19,14 @@ applies the rest with :func:`rotate_pulses` too; to verify a plan
 at any N it requires the rest to be z rotations, which are diagonal on
 |0...0> and |1...1>, and applies their inverse to the GHZ target instead.
 
-The dense engine's free evolution e^{-iHt} has two paths, chosen by qubit
-count alone (see :class:`HamiltonianPropagator`).  Up to N = 6, which
-covers every optimizer problem, H is diagonalized once and every apply is
-a pair of matrix products; above, e^{-iHt} is expanded in Chebyshev
-polynomials of the real sparse H at a few hundred terms per apply, each
-one sparse product for the real prepared state and two for a complex
-one.  Diagonalizing costs O(8^N), and no caller applies a propagator
-above N = 6 more than once, so it would never pay for itself there.
+The dense engine's free evolution e^{-iHt} of the prepared state
+:data:`PREPARATION` |0...0> has two paths, chosen by qubit count alone
+(see :class:`HamiltonianPropagator`).  Up to N = 6, which covers every
+optimizer problem, H is diagonalized once and every apply is one matrix
+product; above, e^{-iHt} is expanded in Chebyshev polynomials of the real
+sparse H at a few hundred terms per apply, each one sparse product on the
+real start.  Diagonalizing costs O(8^N), and no caller applies a
+propagator above N = 6 more than once, so it would never pay for itself.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .couplings import (
     CouplingGraph,
     _exchange_pattern,
     check_dense_qubit_count,
+    check_integer,
     check_qubit_count,
     check_real,
     ideal,
@@ -153,12 +154,19 @@ class ProtocolPlan:
     expected_phase: GlobalPhase
 
     def __post_init__(self):
-        object.__setattr__(self, "n_qubits", check_qubit_count(self.n_qubits))
+        n = check_qubit_count(self.n_qubits)
+        t = check_real(self.entangle_duration, "entangle_duration")
+        finals = []
         for p in self.finals:
             if p.axis not in ("x", "y", "z"):
                 raise ValueError(f"pulse axis must be x, y or z, got {p.axis!r}")
-            if p.qubit is not None and not 1 <= p.qubit <= self.n_qubits:
-                raise ValueError(f"pulse qubit {p.qubit} out of range 1..{self.n_qubits}")
+            qubit = None if p.qubit is None else check_integer(p.qubit, "pulse qubit")
+            if qubit is not None and not 1 <= qubit <= n:
+                raise ValueError(f"pulse qubit {qubit} out of range 1..{n}")
+            finals.append(Pulse(p.axis, check_real(p.angle, "pulse angle"), qubit))
+        object.__setattr__(self, "n_qubits", n)
+        object.__setattr__(self, "entangle_duration", t)
+        object.__setattr__(self, "finals", tuple(finals))
 
     @property
     def parity(self) -> str:
@@ -229,22 +237,21 @@ def compile_plan(n: int, g: float, gz: float) -> ProtocolPlan:
 
 
 class HamiltonianPropagator:
-    """Reusable e^{-iHt} applier for one coupling graph.
+    """Reusable e^{-iHt} applier for one coupling graph, on the prepared
+    state :data:`PREPARATION` |0...0>, which it builds once.
 
     Two paths, chosen by qubit count:
 
     * factorized (N <= ``EIGH_MAX_QUBITS``) -- the full complex
-      eigendecomposition of H, built with the propagator, after which each
-      apply is two dense products.  The prepared state's eigenbasis
-      coefficients are cached too, so :meth:`propagate_prepared` is one;
+      eigendecomposition of H, built with the propagator, and the start's
+      coefficients in that eigenbasis, after which each apply is one dense
+      product;
     * matrix-free (above) -- H is stored as real CSR shifted and scaled to
       [-1, 1] by its Gershgorin bounds (centre c, radius r), written into
       the arrays :func:`~ghznet.couplings.to_sparse` returned (same
       positions, zeros kept; no second matrix is built), and each apply
-      is a :func:`~ghznet.chebyshev.chebyshev_propagate` expansion, one
-      real sparse matrix-vector product per term and per nonzero part of
-      the state: one for the real :meth:`propagate_prepared` start, two
-      for a complex state.
+      is a :func:`~ghznet.chebyshev.chebyshev_propagate` expansion of the
+      real start, one real sparse matrix-vector product per term.
 
     The expansion length grows as r|t|; beyond ``MAX_CHEBYSHEV_ORDER``
     (near-degenerate couplings) a matrix-free apply raises
@@ -260,9 +267,10 @@ class HamiltonianPropagator:
             eigvals, self._eigvecs = np.linalg.eigh(h.toarray().astype(complex))
             # -1j * eigvals, the first factor of every apply's phase product
             self._rates = -1j * eigvals
-            self._prepared_coeffs = self._eigvecs.conj().T @ _prepared(self.n_qubits)
+            self._start = self._eigvecs.conj().T @ _prepared(self.n_qubits)
             return
         self._rates = None
+        self._start = _prepared(self.n_qubits).real
         diag = h.diagonal()
         off = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
         lower, upper = np.min(diag - off), np.max(diag + off)
@@ -282,19 +290,10 @@ class HamiltonianPropagator:
         """True when applies go through the eigendecomposition."""
         return self._rates is not None
 
-    def propagate(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
-        if self._rates is None:
-            return self._chebyshev(amplitudes, t)
-        phases = np.exp(self._rates * t)
-        return self._eigvecs @ (phases * (self._eigvecs.conj().T @ amplitudes))
-
-    def propagate_prepared(self, t: float) -> np.ndarray:
+    def propagate(self, t: float) -> np.ndarray:
         """e^{-iHt} applied to :data:`PREPARATION` |0...0>."""
-        if self._rates is None:
-            return self.propagate(_prepared(self.n_qubits), t)
-        return self._eigvecs @ (np.exp(self._rates * t) * self._prepared_coeffs)
-
-    def _chebyshev(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
+        if self._rates is not None:
+            return self._eigvecs @ (np.exp(self._rates * t) * self._start)
         rt = self._radius * t
         if not abs(rt) <= MAX_CHEBYSHEV_ORDER:
             raise PropagationError(
@@ -305,11 +304,11 @@ class HamiltonianPropagator:
         h = self._scaled
 
         def matvec(v: np.ndarray) -> np.ndarray:
-            # one single-vector product per row: scipy's multi-vector CSR
-            # kernel is slower than two single-vector ones
+            # one single-vector product per row (the real start has one):
+            # scipy's multi-vector CSR kernel is slower than single-vector ones
             return np.array([h @ row for row in v])
 
-        return chebyshev_propagate(matvec, self._centre, self._radius, amplitudes, t)
+        return chebyshev_propagate(matvec, self._centre, self._radius, self._start, t)
 
 
 def _prepared(n: int) -> np.ndarray:
@@ -382,7 +381,7 @@ def execute(
         raise ValueError(f"plan is for {n} qubits but graph has {graph.n_qubits}")
     _check_dense_engine(n)
     if engine == "dense":
-        amps = HamiltonianPropagator(graph).propagate_prepared(plan.entangle_duration)
+        amps = HamiltonianPropagator(graph).propagate(plan.entangle_duration)
         pulses = plan.finals
     elif engine == "symmetric":
         if not graph.is_ideal():

@@ -306,7 +306,7 @@ def test_criterion_8_degeneracy_guard():
     prop = HamiltonianPropagator(ideal(n, g, g))
     uniform = apply_collective_rotation(all_zeros(n), "y", np.pi / 2)
     for t in (0.1, 1.0, 7.3, 100.0):
-        evolved = prop.propagate(uniform.amplitudes, t)
+        evolved = prop.propagate(t)
         if abs(abs(np.vdot(uniform.amplitudes, evolved)) - 1) > 1e-12:
             failures.append(f"t={t}: uniform state not stationary")
     report(8, "isotropic-coupling degeneracy guard", failures)

@@ -38,6 +38,7 @@ def test_warmups_reach_every_counted_layer(bench_modules, tmp_path):
         "dense.rotation_calls",
         "symmetric.collective_rotation_calls",
         "protocol.propagator_build_calls",
+        "protocol.propagate_calls",
         "protocol.compile_plan_calls",
         "optimizer.objective_calls",
     ):

@@ -41,6 +41,7 @@ from ghznet.dense import GlobalPhase, StateVector, all_zeros, basis_state
 from ghznet.optimizer import OptimizerConfig, problem_odd, sweep
 from ghznet.protocol import (
     ProtocolPlan,
+    Pulse,
     compile_plan,
     entangling_time,
     execute_symmetric,
@@ -414,3 +415,42 @@ def test_checked_values_are_stored_as_python_numbers():
     assert all(type(v) is int for v in stored)
     values = [*graph.xy.values(), *graph.zz.values(), graph.g_ref, graph.gz_ref]
     assert all(type(v) is float for v in values)
+
+
+# ------------------------------------------------------- plans and sweeps
+
+PHASE = GlobalPhase(1.0)
+
+
+@pytest.mark.parametrize(
+    "duration", [math.nan, math.inf, "1.0", None, True, pytest.param(10**400, id="10**400")]
+)
+def test_plans_refuse_bad_durations(duration):
+    finals = compile_plan(3, 1.0, 0.05).finals
+    _refused(lambda: ProtocolPlan(3, duration, finals, PHASE))
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, "a", None, True, 1j])
+def test_plans_refuse_bad_pulse_angles(angle):
+    for qubit in (None, 2):
+        _refused(lambda: ProtocolPlan(3, 1.0, (Pulse("x", angle, qubit),), PHASE))
+
+
+@pytest.mark.parametrize("qubit", ["2", 2.0, np.float64(2.0), True, Fraction(2)])
+def test_plans_refuse_non_integer_pulse_qubits(qubit):
+    _refused(lambda: ProtocolPlan(3, 1.0, (Pulse("z", 1.0, qubit),), PHASE))
+
+
+def test_plans_store_python_numbers():
+    pulse = Pulse("z", np.float64(0.5), np.int64(2))
+    plan = ProtocolPlan(3, np.float64(1.0), (pulse, Pulse("x", np.float32(1.0))), PHASE)
+    assert type(plan.entangle_duration) is float
+    assert [(type(p.angle), type(p.qubit)) for p in plan.finals] == [
+        (float, int), (float, type(None)),
+    ]
+    assert plan == ProtocolPlan(3, 1.0, (Pulse("z", 0.5, 2), Pulse("x", 1.0)), PHASE)
+
+
+def test_sweep_refuses_an_empty_grid():
+    _refused(lambda: sweep([]))
+    _refused(lambda: sweep(np.array([]), g12="x"))

@@ -341,19 +341,19 @@ class TestOptimize:
         res = optimize(prob, OptimizerConfig(restarts=2, max_evals=300))
         assert res.fidelity >= uncorrected_fidelity(prob)
 
-    @pytest.mark.parametrize("max_evals", [0, -1])
+    @pytest.mark.parametrize("max_evals", [0, -1, 10.5, np.float64(5.0), True, "3"])
     def test_no_evaluation_budget_rejected(self, max_evals):
         # without one evaluation start 0 is never scored, and the result
         # could fall below the uncorrected fidelity
         with pytest.raises(ValueError, match="max_evals"):
             OptimizerConfig(max_evals=max_evals)
 
-    @pytest.mark.parametrize("restarts", [0, -4])
+    @pytest.mark.parametrize("restarts", [0, -4, 2.5, True, "3"])
     def test_no_start_rejected(self, restarts):
         with pytest.raises(ValueError, match="restarts"):
             OptimizerConfig(restarts=restarts)
 
-    @pytest.mark.parametrize("tolerance", [-1.0, np.nan])
+    @pytest.mark.parametrize("tolerance", [-1.0, np.nan, np.inf, True, "1e-10"])
     def test_bad_tolerance_rejected(self, tolerance):
         with pytest.raises(ValueError, match="tolerance"):
             OptimizerConfig(tolerance=tolerance)
@@ -361,6 +361,16 @@ class TestOptimize:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             OptimizerConfig(seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, np.float64(0.0), True, "0"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            OptimizerConfig(seed=seed)
+
+    def test_config_stores_python_numbers(self):
+        config = OptimizerConfig(np.float64(1e-9), np.int64(300), np.int32(2), np.uint8(1))
+        assert config == OptimizerConfig(1e-9, 300, 2, 1)
+        assert [type(v) for v in vars(config).values()] == [float, int, int, int]
 
     def test_deterministic_for_fixed_seed(self):
         prob = problem_odd(perturbed_n3(1.0, 0.02, 0.06, 0.05))

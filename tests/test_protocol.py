@@ -269,7 +269,7 @@ class TestDegeneracyGuard:
         prop = HamiltonianPropagator(graph)
         psi = apply_collective_rotation(all_zeros(n), "y", np.pi / 2)
         for t in (0.3, 1.7, 12.9):
-            evolved = prop.propagate(psi.amplitudes, t)
+            evolved = prop.propagate(t)
             assert abs(abs(np.vdot(psi.amplitudes, evolved)) - 1) <= 1e-12
 
 
@@ -281,6 +281,14 @@ def _random_state(rng: np.random.Generator, n: int) -> np.ndarray:
 def _random_graph(rng: np.random.Generator, n: int, gz: float):
     pairs = [(l, k) for l in range(1, n + 1) for k in range(l + 1, n + 1)]
     return perturbed_general(n, 1.0, gz, {p: rng.uniform(0.5, 1.5) for p in pairs})
+
+
+def _dense_matvec(prop: HamiltonianPropagator):
+    """The per-row product with the propagator's scaled H that its own
+    matrix-free apply uses, for starting a Chebyshev expansion from any
+    state."""
+    h = prop._scaled
+    return lambda v: np.array([h @ row for row in v])
 
 
 def _two_row_propagate(matvec, centre, radius, amplitudes, t):
@@ -318,22 +326,20 @@ class TestChebyshevPropagation:
     def test_matches_eigendecomposition(self, n, gz, t, seed):
         rng = np.random.default_rng(seed)
         graph = _random_graph(rng, n, gz)
-        psi = _random_state(rng, n)
         prop = HamiltonianPropagator(graph)
-        got = prop.propagate(psi, t)
+        got = prop.propagate(t)
         assert not prop.factorized
-        want = evolve(StateVector(n, psi), to_dense(graph), t).amplitudes
+        want = evolve(StateVector(n, _prepared(n)), to_dense(graph), t).amplitudes
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_reuse_stays_matrix_free(self):
         n = 8
         graph = ideal(n, 1.0, 0.05)
-        psi = _random_state(np.random.default_rng(8), n)
         t = entangling_time(1.0, 0.05)
         prop = HamiltonianPropagator(graph)
-        first = prop.propagate(psi, t)
+        first = prop.propagate(t)
         for _ in range(2):
-            again = prop.propagate(psi, t)
+            again = prop.propagate(t)
             assert not prop.factorized
             assert np.max(np.abs(again - first)) <= 1e-12
 
@@ -348,26 +354,30 @@ class TestChebyshevPropagation:
         psi = apply_collective_rotation(all_zeros(n), "y", np.pi / 2).amplitudes
         for t in (0.1, 1.0, 7.3, 100.0):
             # a fresh propagator, so every time runs the Chebyshev path
-            evolved = HamiltonianPropagator(graph).propagate(psi, t)
+            evolved = HamiltonianPropagator(graph).propagate(t)
             assert abs(abs(np.vdot(psi, evolved)) - 1) <= 1e-12
 
     def test_near_degenerate_refused_above_factorizable_size(self):
         t = entangling_time(1.0, 0.9999999)
         prop6 = HamiltonianPropagator(ideal(6, 1.0, 0.9999999))
         assert prop6.factorized
-        out = prop6.propagate(_random_state(np.random.default_rng(0), 6), t)
+        out = prop6.propagate(t)
         assert np.all(np.isfinite(out))
         for n in (7, 12):
             prop = HamiltonianPropagator(ideal(n, 1.0, 0.9999999))
             with pytest.raises(PropagationError):
-                prop.propagate(_random_state(np.random.default_rng(0), n), t)
+                prop.propagate(t)
 
     def test_norm_drift_is_a_numerical_error(self, monkeypatch):
-        # a truncated expansion no longer preserves the norm
+        # a truncated expansion no longer preserves the norm of a complex
+        # start, which runs the two-row recurrence
         monkeypatch.setattr(chebyshev, "CHEBYSHEV_TAIL", 1e-3)
         prop = HamiltonianPropagator(ideal(7, 1.0, 0.05))
+        psi = _random_state(np.random.default_rng(1), 7)
         with pytest.raises(PropagationError):
-            prop.propagate(_random_state(np.random.default_rng(1), 7), 1.0)
+            chebyshev.chebyshev_propagate(
+                _dense_matvec(prop), prop._centre, prop._radius, psi, 1.0
+            )
 
     def test_norm_drift_of_a_real_start_is_a_numerical_error(self, monkeypatch):
         # the prepared state is real, so this runs the one-row recurrence
@@ -375,7 +385,7 @@ class TestChebyshevPropagation:
         monkeypatch.setattr(chebyshev, "CHEBYSHEV_TAIL", 1e-3)
         prop = HamiltonianPropagator(ideal(7, 1.0, 0.05))
         with pytest.raises(PropagationError):
-            prop.propagate_prepared(1.0)
+            prop.propagate(1.0)
 
 
 class TestScaledHamiltonian:
@@ -413,14 +423,13 @@ class TestRealStart:
     def test_dense_equals_two_row_loop(self, n, gz, t, seed):
         rng = np.random.default_rng(seed)
         prop = HamiltonianPropagator(_random_graph(rng, n, gz))
-        psi = rng.normal(size=1 << n) + 0j
         h = prop._scaled
 
         def matvec(v):
             return np.array([h @ v[0], h @ v[1]])
 
-        want = _two_row_propagate(matvec, prop._centre, prop._radius, psi, t)
-        assert np.array_equal(prop.propagate(psi, t), want)
+        want = _two_row_propagate(matvec, prop._centre, prop._radius, _prepared(n), t)
+        assert np.array_equal(prop.propagate(t), want)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -467,4 +476,7 @@ class TestRealStart:
         prop = HamiltonianPropagator(_random_graph(rng, n, gz))
         psi = rng.normal(size=1 << n) + (0j if real else 1j * rng.normal(size=1 << n))
         norm = np.linalg.norm(psi)
-        assert abs(np.linalg.norm(prop.propagate(psi, t)) - norm) <= 1e-12 * norm
+        out = chebyshev.chebyshev_propagate(
+            _dense_matvec(prop), prop._centre, prop._radius, psi, t
+        )
+        assert abs(np.linalg.norm(out) - norm) <= 1e-12 * norm
