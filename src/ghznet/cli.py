@@ -213,7 +213,11 @@ def cmd_optimize(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    grid = np.linspace(cfg["eta13_start"], cfg["eta13_stop"], cfg["eta13_steps"])
+    steps = cfg["eta13_steps"]
+    # np.linspace would name neither the key nor the rule
+    if steps < 1:
+        raise ValueError(f"eta13_steps must be >= 1, got {steps}")
+    grid = np.linspace(cfg["eta13_start"], cfg["eta13_stop"], steps)
     rows = sweep(
         grid,
         g12=cfg["g12"],

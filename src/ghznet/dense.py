@@ -12,11 +12,13 @@ triple in this module's private table (``z`` diagonal ``(+1, -1)``,
 maps ``|0>`` to ``(|0> + |1>)/sqrt(2)``.  Every rotation of a 2^N state
 goes through :func:`rotate_amplitudes`, one 2x2 product on one qubit; the
 free evolution e^{-iHt} lives in :class:`ghznet.protocol.HamiltonianPropagator`.
+The raw-array kernels also take a ``(K, 2^N)`` block of states and give
+each row the bytes it gets alone, so the optimizer evaluates many
+parameter points in one call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +33,6 @@ _PAULIS = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-# per axis, the (identity, generator) entry pairs in row-major order, as
-# Python complex scalars
-_ENTRY_PAIRS = {
-    axis: tuple(zip(_IDENTITY.ravel().tolist(), g.ravel().tolist()))
-    for axis, g in _PAULIS.items()
 }
 
 
@@ -96,40 +92,36 @@ def all_zeros(n: int) -> StateVector:
     return basis_state(n, "0" * n)
 
 
-def single_qubit_rotation(axis: str, angle: float) -> np.ndarray:
-    """2x2 unitary exp(-i (angle/2) sigma_axis).
+def single_qubit_rotation(axis: str, angle) -> np.ndarray:
+    """2x2 unitary exp(-i (angle/2) sigma_axis); for an array of angles,
+    one matrix per angle, of shape ``angle.shape + (2, 2)``.
 
-    Each entry is ``cos(angle/2) I - i sin(angle/2) sigma`` formed on
-    Python complex scalars, whose product and difference are the ones
-    numpy applies elementwise to the 2x2 arrays, so the bytes equal those
-    of that array expression at a fraction of its cost.  The cosine is
-    made complex first, as numpy promotes it, rather than left to
-    Python's mixed float-complex rules.
+    ``cos(angle/2) I - i sin(angle/2) sigma``, with the cosines and sines
+    broadcast against the 2x2 tables: every entry is formed elementwise,
+    so a stacked matrix has the bytes of the one built for its angle alone.
     """
-    if axis not in _ENTRY_PAIRS:
+    if axis not in _PAULIS:
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
-    c = complex(np.cos(angle / 2))
-    z = 1j * np.sin(angle / 2)
-    (i0, g0), (i1, g1), (i2, g2), (i3, g3) = _ENTRY_PAIRS[axis]
-    entries = [c * i0 - z * g0, c * i1 - z * g1, c * i2 - z * g2, c * i3 - z * g3]
-    return np.array(entries, dtype=complex).reshape(2, 2)
+    half = np.asarray(angle / 2)[..., None, None]
+    return np.cos(half) * _IDENTITY - 1j * np.sin(half) * _PAULIS[axis]
 
 
 def rotate_amplitudes(amplitudes: np.ndarray, n: int, k: int, u: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 matrix to qubit ``k`` of a raw 2^n amplitude vector.
+    """Apply a 2x2 matrix to qubit ``k`` of a raw 2^n amplitude vector, or
+    to each row of a ``(K, 2^n)`` block.
 
-    Qubit k's index is brought to the front as a ``(2, 2^(n-1))`` block
-    and left-multiplied by ``u`` in one ``np.dot`` -- the operands
-    ``np.tensordot`` would pass, so the result is bit-identical to it at
-    a fraction of the bookkeeping.  No bounds check: callers validate k.
+    Qubit k's index is brought to the front of each row as a ``(2,
+    2^(n-1))`` block and left-multiplied by ``u``, which is one ``(2, 2)``
+    matrix for every row or a ``(K, 2, 2)`` stack, one per row.  Each
+    block's product is the one ``np.dot`` -- and so ``np.tensordot`` --
+    forms, so the result is bit-identical to them, and a row of a block
+    comes out as it would alone.  No bounds check: callers validate k.
     """
     lead, trail = 1 << (k - 1), 1 << (n - k)
-    if lead == 1:
-        # qubit 1 is already in front: the same block, as a plain view
-        return np.dot(u, amplitudes.reshape(2, trail)).reshape(-1)
-    block = amplitudes.reshape(lead, 2, trail).transpose(1, 0, 2).reshape(2, -1)
-    out = np.dot(u, block)
-    return out.reshape(2, lead, trail).transpose(1, 0, 2).reshape(-1)
+    # a view when qubit k is already in front (lead = 1), a copy otherwise
+    block = amplitudes.reshape(-1, lead, 2, trail).swapaxes(1, 2).reshape(-1, 2, lead * trail)
+    out = u @ block
+    return out.reshape(-1, 2, lead, trail).swapaxes(1, 2).reshape(amplitudes.shape)
 
 
 def apply_rotation(state: StateVector, k: int, axis: str, angle: float) -> StateVector:
@@ -162,21 +154,37 @@ def fidelity_frobenius(psi: StateVector, target: StateVector, align_phase: bool)
     return fidelity_frobenius_raw(psi.amplitudes, target.amplitudes, align_phase)
 
 
-def fidelity_frobenius_raw(a: np.ndarray, target: np.ndarray, align_phase: bool) -> float:
-    """:func:`fidelity_frobenius` on raw amplitude vectors of equal length."""
+def fidelity_frobenius_raw(a: np.ndarray, target: np.ndarray, align_phase: bool):
+    """:func:`fidelity_frobenius` on raw amplitude vectors of equal length,
+    as a float; for a ``(K, d)`` block ``a``, the array of its K rows'
+    fidelities, each equal to the row's own."""
     if align_phase:
         a = phase_aligned(a, target)
-    # np.linalg.norm's own complex path, without its dispatch
-    d = a - target
+    # np.linalg.norm's own complex path, without its dispatch: per row, one
+    # dot of the strided real view and one of the imaginary view (a
+    # contiguous copy would take another BLAS kernel and other bits)
+    d = (a - target).reshape(-1, 1, target.shape[0])
     re, im = d.real, d.imag
-    return 1.0 - math.sqrt(re.dot(re) + im.dot(im))
+    sq = re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)
+    fid = 1.0 - np.sqrt(sq.reshape(a.shape[:-1]))
+    return float(fid) if a.ndim == 1 else fid
 
 
 def phase_aligned(a: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """``a`` times the unit phase making ``<target|a>`` real and nonnegative."""
-    ov = np.vdot(target, a)
-    r = abs(ov)
-    return a * (ov.conjugate() / r) if r > 0 else a
+    """``a`` times the unit phase making ``<target|a>`` real and nonnegative;
+    each row of a ``(K, d)`` block times its own phase.  A state with no
+    such phase (zero or NaN overlap) is returned unchanged."""
+    # np.vdot's conjugated dot, with its bits, one per row
+    ov = target.conj() @ a[..., None]
+    # each modulus from Python's abs, which rounds as numpy's scalar abs;
+    # the array abs rounds otherwise
+    r = np.array([abs(o) for o in ov.ravel().tolist()]).reshape(ov.shape)
+    live = r > 0
+    if live.all():
+        return a * (ov.conjugate() / r)
+    # a row without a phase stays as it is, and divides by nothing
+    phase = np.divide(ov.conjugate(), r, out=np.zeros_like(ov), where=live)
+    return np.multiply(a, phase, out=a.copy(), where=live)
 
 
 def global_phase_between_raw(a: np.ndarray, b: np.ndarray) -> GlobalPhase:

@@ -21,20 +21,27 @@ strong-ZZ correction, keeps its compiled value.  Three families:
 A problem is built once per graph and holds everything an evaluation
 does not change: the graph's propagator with the prepared state already
 in its eigenbasis, the 2x2 matrix of each final pulse at its compiled
-angle, the GHZ target amplitudes and the conjugated expected phase.  One
-evaluation propagates the prepared state for the trial time, swaps in
-the free pulses' matrices at the trial angles, rotates the raw amplitudes
-with :func:`~ghznet.protocol.rotate_pulses`, strips the expected phase
-and takes the phase-aligned Frobenius distance to the target -- the
+angle, the GHZ target amplitudes and the conjugated expected phase.  An
+evaluation takes a block of K parameter rows at once: it propagates the
+prepared state for the K trial times, builds the free pulses' matrices
+at the trial angles (one call per axis), rotates the raw amplitudes with
+:func:`~ghznet.protocol.rotate_pulses`, strips the expected phase and
+takes each row's phase-aligned Frobenius distance to the target.  Every
+kernel keeps one product per row, so each row goes through the
 floating-point operations, in order, of running ``plan_for``'s plan
 through :func:`~ghznet.protocol.execute` and
-:func:`~ghznet.dense.fidelity_frobenius`, so the results agree bit for
-bit.
+:func:`~ghznet.dense.fidelity_frobenius`, and the results agree bit for
+bit; :func:`objective` is the one-row case.
 
-The search is :func:`minimize`, bounded Nelder-Mead (Nelder and Mead,
-Comput. J. 7, 308 (1965)) ported from scipy 1.17.1 so that importing the
-package does not load ``scipy.optimize``; it returns scipy's results bit
-for bit.
+The search is bounded Nelder-Mead (Nelder and Mead, Comput. J. 7, 308
+(1965)) ported from scipy 1.17.1 so that importing the package does not
+load ``scipy.optimize``; it returns scipy's results bit for bit.  Its
+steps live once, in the generator :func:`_nelder_mead`, which yields each
+stage's trial points as a block and is sent their values.
+:func:`minimize` drives one such search alone.  :func:`optimize` drives
+one per start in lockstep, each round evaluating the pending rows of all
+starts in one batched call; every start keeps its own simplex and
+budget, so its result is the one it reaches alone.
 
 A three-qubit correction is reported as one row, built by
 :func:`correction_row` and formatted by :func:`row_cells`: every row of
@@ -85,11 +92,13 @@ class OptimizationProblem:
         self.ideal_params = np.array([t_ideal] + [plan.finals[i].angle for i in free])
         self.lower = np.concatenate([[0.5 * t_ideal], np.zeros(len(free))])
         self.upper = np.concatenate([[1.5 * t_ideal], np.full(len(free), angle_upper)])
-        # (lower, upper) of each parameter as Python floats, for objective
-        self._box = tuple(zip(self.lower.tolist(), self.upper.tolist()))
         self._propagator = HamiltonianPropagator(graph)
         # the 2x2 matrix of each pulse in plan.finals at its compiled angle
         self._matrices = [single_qubit_rotation(p.axis, p.angle) for p in plan.finals]
+        # the free pulses' parameter columns, grouped by axis
+        self._free_columns = {}
+        for col, i in enumerate(free, 1):
+            self._free_columns.setdefault(plan.finals[i].axis, []).append(col)
         self._target = ghz_target(plan.n_qubits).state.amplitudes
         self._phase_conj = plan.expected_phase.phase.conjugate()
 
@@ -109,17 +118,20 @@ class OptimizationProblem:
 
     def run(self, params: np.ndarray) -> StateVector:
         """Execute the plan and strip the expected global phase."""
-        return StateVector(self.n_qubits, self._state(params.tolist()))
+        return StateVector(self.n_qubits, self._state(_one_row(self, params))[0])
 
-    def _state(self, values: list[float]) -> np.ndarray:
-        """Amplitudes of :meth:`run` for the parameters as Python floats,
-        without building a plan or a state."""
-        t, *angles = values
+    def _state(self, rows: np.ndarray) -> np.ndarray:
+        """Amplitudes of :meth:`run` for each row of a ``(K, p)`` block of
+        parameter vectors, in one batched evaluation, without building a
+        plan or a state; each row's amplitudes are those it has alone."""
         finals = self.plan.finals
         us = list(self._matrices)
-        for i, angle in zip(self.free, angles):
-            us[i] = single_qubit_rotation(finals[i].axis, angle)
-        amps = self._propagator.propagate(t)
+        # one call per axis builds that axis's free matrices for every row
+        for axis, cols in self._free_columns.items():
+            matrices = single_qubit_rotation(axis, rows[:, cols])
+            for j, col in enumerate(cols):
+                us[self.free[col - 1]] = matrices[:, j]
+        amps = self._propagator.propagate(rows[:, 0])
         amps = rotate_pulses(amps, self.n_qubits, finals, us)
         return amps * self._phase_conj
 
@@ -149,14 +161,27 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
+class MinimizeResult:
+    """One Nelder-Mead run: the best vertex, its value, the evaluations
+    spent, and whether it stopped on the tolerances rather than the budget."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    success: bool
+
+
+@dataclass(frozen=True)
 class OptimizationResult:
-    """The best start's point; ``objective_evaluations`` counts all starts."""
+    """The best start's point; ``objective_evaluations`` counts all starts,
+    and ``starts`` holds each start's own result, in start order."""
 
     t_opt: float
     angles_opt: np.ndarray
     fidelity: float
     objective_evaluations: int
     converged: bool
+    starts: tuple[MinimizeResult, ...]
 
 
 def _compiled(graph: CouplingGraph, parity: str) -> ProtocolPlan:
@@ -188,35 +213,31 @@ def problem_even_full(graph: CouplingGraph) -> OptimizationProblem:
     return OptimizationProblem(graph, plan, tuple(range(graph.n_qubits)), np.pi)
 
 
-def objective(problem: OptimizationProblem, params: np.ndarray) -> float:
-    """1 - phase-aligned Frobenius fidelity against the GHZ target."""
+def _one_row(problem: OptimizationProblem, params) -> np.ndarray:
+    """``params`` as a one-row block, refused unless it holds exactly one
+    value per parameter."""
     params = np.asarray(params, dtype=float)
     if params.shape != problem.ideal_params.shape:
         raise ValueError(
             f"expected {problem.ideal_params.shape[0]} parameters, got {params.shape}"
         )
-    values = params.tolist()
+    return params[None]
+
+
+def objective(problem: OptimizationProblem, params: np.ndarray) -> float:
+    """1 - phase-aligned Frobenius fidelity against the GHZ target."""
+    return float(_objectives(problem, _one_row(problem, params))[0])
+
+
+def _objectives(problem: OptimizationProblem, rows: np.ndarray) -> np.ndarray:
+    """:func:`objective` of each row of a ``(K, p)`` block, in one batched
+    evaluation; each value equals the row's own."""
     # "not inside the box", so that NaN (never inside) is refused too
-    if not all(lo <= v <= hi for v, (lo, hi) in zip(values, problem._box)):
+    if not ((problem.lower <= rows) & (rows <= problem.upper)).all():
         raise ValueError("parameters outside the problem bounds")
     return 1.0 - fidelity_frobenius_raw(
-        problem._state(values), problem._target, align_phase=True
+        problem._state(rows), problem._target, align_phase=True
     )
-
-
-@dataclass(frozen=True)
-class MinimizeResult:
-    """One Nelder-Mead run: the best vertex, its value, the evaluations
-    spent, and whether it stopped on the tolerances rather than the budget."""
-
-    x: np.ndarray
-    fun: float
-    nfev: int
-    success: bool
-
-
-class _BudgetSpent(Exception):
-    """An evaluation was asked for after ``maxfev`` of them."""
 
 
 def _clip(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -225,21 +246,31 @@ def _clip(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(x, lower), upper)
 
 
-def minimize(fun, x0, lower, upper, xatol, fatol, maxfev) -> MinimizeResult:
-    """Bounded Nelder-Mead from ``x0`` within [``lower``, ``upper``].
+def _nelder_mead(x0, lower, upper, xatol, fatol, maxfev):
+    """Bounded Nelder-Mead from ``x0``, as a generator of trial points.
 
-    A port of scipy 1.17.1's ``_minimize_neldermead`` with ``bounds`` and
-    ``maxfev``, reduced to the non-adaptive method and the default initial
-    simplex.  It keeps scipy's floating-point operations, on the same
-    values and in the same order (the twice-sorted first simplex, the
-    row-by-row centroid, a clip after every trial point), so the result
-    matches ``scipy.optimize.minimize(method="Nelder-Mead")`` bit for bit,
-    including which of two tied vertices ``np.argsort`` puts first.  Only
-    bookkeeping differs: the sorts call the ``argsort`` and ``take``
-    methods that ``np.argsort`` and ``np.take`` forward to, the loop's
-    clips are :func:`_clip`, the f-convergence test runs on Python floats,
-    the integer coefficients are floats, and the reflection factor rho = 1
-    is left out of the products, where it is exact.
+    Each stage yields its trial points as one ``(m, n)`` block and is sent
+    back their m values: the n + 1 vertices of the first simplex
+    together, one row for each reflection, expansion or contraction, and
+    the shrunk vertices together.  It returns the :class:`MinimizeResult`.
+    A block is read before its values are sent, and not after.
+
+    The steps are a port of scipy 1.17.1's ``_minimize_neldermead`` with
+    ``bounds`` and ``maxfev``, reduced to the non-adaptive method and the
+    default initial simplex.  They keep scipy's floating-point operations,
+    on the same values and in the same order (the twice-sorted first
+    simplex, the row-by-row centroid, a clip after every trial point), so
+    the result matches ``scipy.optimize.minimize(method="Nelder-Mead")``
+    bit for bit, including which of two tied vertices ``np.argsort`` puts
+    first.  scipy stops at the first evaluation past ``maxfev``, and so
+    does each stage here: a reflection that spends the budget stores
+    nothing, and a shrink with c evaluations left moves vertices
+    1..c + 1 and evaluates 1..c.  Only bookkeeping differs: the sorts call
+    the ``argsort`` and ``take`` methods that ``np.argsort`` and
+    ``np.take`` forward to, the loop's clips are :func:`_clip`, the
+    f-convergence test runs on Python floats, the integer coefficients are
+    floats, and the reflection factor rho = 1 is left out of the products,
+    where it is exact.
     """
     # float coefficients, and n_float below: numpy multiplies and divides by
     # a Python int more slowly, and each int here converts to the same float64
@@ -262,21 +293,10 @@ def minimize(fun, x0, lower, upper, xatol, fatol, maxfev) -> MinimizeResult:
     # sign of a zero
     sim = np.clip(sim, lower, upper)
 
-    nfev = 0
-
-    def func(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _BudgetSpent
-        nfev += 1
-        return fun(x.copy())
-
     fsim = np.full(n + 1, np.inf)
-    try:
-        for k in range(n + 1):
-            fsim[k] = func(sim[k])
-    except _BudgetSpent:
-        pass
+    nfev = min(n + 1, maxfev)
+    if nfev:
+        fsim[:nfev] = yield sim[:nfev]
     # scipy sorts the first simplex twice; both sorts stay, so that tied
     # values end up in scipy's order without relying on a stable argsort
     for _ in range(2):
@@ -285,48 +305,53 @@ def minimize(fun, x0, lower, upper, xatol, fatol, maxfev) -> MinimizeResult:
         fsim = fsim.take(ind, 0)
 
     while nfev < maxfev:
-        try:
-            # the cheap test on Python floats first; like np.max(...) <= fatol
-            # it is False on NaN
-            f0, *fs = fsim.tolist()
-            if (all(abs(f0 - f) <= fatol for f in fs)
-                    and np.max(np.abs(sim[1:] - sim[0])) <= xatol):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / n_float
-            # reflection, (1 + rho) * xbar - rho * sim[-1] with rho = 1
-            xr = _clip(2.0 * xbar - sim[-1], lower, upper)
-            fxr = func(xr)
-            if fxr < fsim[0]:
+        # the cheap test on Python floats first; like np.max(...) <= fatol
+        # it is False on NaN
+        f0, *fs = fsim.tolist()
+        if (all(abs(f0 - f) <= fatol for f in fs)
+                and np.max(np.abs(sim[1:] - sim[0])) <= xatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n_float
+        # reflection, (1 + rho) * xbar - rho * sim[-1] with rho = 1
+        xr = _clip(2.0 * xbar - sim[-1], lower, upper)
+        (fxr,) = yield xr[None]
+        nfev += 1
+        if fxr < fsim[0]:
+            if nfev < maxfev:
                 xe = _clip((1 + chi) * xbar - chi * sim[-1], lower, upper)
-                fxe = func(xe)
+                (fxe,) = yield xe[None]
+                nfev += 1
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
                 else:
                     sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif nfev < maxfev:
+            if fxr < fsim[-1]:
+                # outside contraction
+                xc = _clip((1 + psi) * xbar - psi * sim[-1], lower, upper)
+                (fxc,) = yield xc[None]
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
             else:
-                if fxr < fsim[-1]:
-                    # outside contraction
-                    xc = _clip((1 + psi) * xbar - psi * sim[-1], lower, upper)
-                    fxc = func(xc)
-                    shrink = not fxc <= fxr
-                    if not shrink:
-                        sim[-1], fsim[-1] = xc, fxc
-                else:
-                    # inside contraction
-                    xcc = _clip((1 - psi) * xbar + psi * sim[-1], lower, upper)
-                    fxcc = func(xcc)
-                    shrink = not fxcc < fsim[-1]
-                    if not shrink:
-                        sim[-1], fsim[-1] = xcc, fxcc
-                if shrink:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                        sim[j] = _clip(sim[j], lower, upper)
-                        fsim[j] = func(sim[j])
-        except _BudgetSpent:
-            pass
+                # inside contraction
+                xcc = _clip((1 - psi) * xbar + psi * sim[-1], lower, upper)
+                (fxcc,) = yield xcc[None]
+                shrink = not fxcc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xcc, fxcc
+            nfev += 1
+            if shrink:
+                left = maxfev - nfev
+                for j in range(1, min(n, left + 1) + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    sim[j] = _clip(sim[j], lower, upper)
+                evaluated = min(n, left)
+                if evaluated:
+                    fsim[1:evaluated + 1] = yield sim[1:evaluated + 1]
+                    nfev += evaluated
         ind = fsim.argsort()
         sim = sim.take(ind, 0)
         fsim = fsim.take(ind, 0)
@@ -334,16 +359,47 @@ def minimize(fun, x0, lower, upper, xatol, fatol, maxfev) -> MinimizeResult:
     return MinimizeResult(x=sim[0], fun=np.min(fsim), nfev=nfev, success=nfev < maxfev)
 
 
-def optimize(
-    problem: OptimizationProblem, config: OptimizerConfig = OptimizerConfig()
-) -> OptimizationResult:
-    """Multistart Nelder-Mead over the problem's parameter box.
+def _lockstep(searches: list, evaluate) -> list[MinimizeResult]:
+    """Drive :func:`_nelder_mead` generators together; their results, in order.
 
-    Start 0 is the ideal (uncorrected) parameter point; the remaining
-    starts are drawn around it from a seeded generator (0.1 rad in
-    angles, 5% in time) and clipped to the bounds.  Ties are broken by
-    lowest start index, making the result deterministic for a fixed seed.
+    Each round stacks the pending block of every unfinished search into
+    one ``(K, n)`` array, evaluates it in one ``evaluate`` call, which
+    returns the K values, and sends each search its own rows' values.  No
+    search reads another's values, so each result equals the one its
+    generator reaches alone.
     """
+    results = [None] * len(searches)
+    # (search index, values to send it); None starts a fresh generator
+    sends = [(i, None) for i in range(len(searches))]
+    while sends:
+        blocks = []
+        for i, values in sends:
+            try:
+                blocks.append((i, searches[i].send(values)))
+            except StopIteration as stop:
+                results[i] = stop.value
+        if not blocks:
+            break
+        stacked = evaluate(np.concatenate([block for _, block in blocks]))
+        sends, at = [], 0
+        for i, block in blocks:
+            sends.append((i, stacked[at:at + len(block)]))
+            at += len(block)
+    return results
+
+
+def minimize(fun, x0, lower, upper, xatol, fatol, maxfev) -> MinimizeResult:
+    """Bounded Nelder-Mead from ``x0`` within [``lower``, ``upper``]: one
+    :func:`_nelder_mead` search, with ``fun`` called once per trial point
+    on a row of its own.  Its result equals scipy's bit for bit."""
+    search = _nelder_mead(x0, lower, upper, xatol, fatol, maxfev)
+    (result,) = _lockstep([search], lambda block: [fun(x) for x in block])
+    return result
+
+
+def _start_points(problem: OptimizationProblem, config: OptimizerConfig) -> list[np.ndarray]:
+    """The ideal point, then ``restarts - 1`` points drawn around it from
+    the seeded generator (0.1 rad in angles, 5% in time), clipped to the box."""
     rng = np.random.default_rng(config.seed)
     starts = [problem.ideal_params.copy()]
     t_ideal = problem.ideal_params[0]
@@ -354,27 +410,45 @@ def optimize(
         starts.append(
             np.clip(problem.ideal_params + step, problem.lower, problem.upper)
         )
+    return starts
 
-    # Nelder-Mead with bounds clips trial points, so they are always in-box.
-    # objective and minimize are read from the module on each call, where
-    # perfbench's tracer replaces them with recording wrappers
-    fun = functools.partial(objective, problem)
-    best = None
-    evals = 0
-    for x0 in starts:
-        res = minimize(
-            fun, x0, problem.lower, problem.upper,
+
+def optimize(
+    problem: OptimizationProblem, config: OptimizerConfig = OptimizerConfig()
+) -> OptimizationResult:
+    """Multistart Nelder-Mead over the problem's parameter box, all starts
+    in lockstep.
+
+    Start 0 is the ideal (uncorrected) parameter point; the remaining
+    starts are drawn around it from a seeded generator
+    (:func:`_start_points`).  Each start runs its
+    own :func:`_nelder_mead` search with its own budget of ``max_evals``;
+    each round evaluates the trial points of every unfinished start in
+    one batched call.  So each start's result, kept in ``starts``, equals
+    :func:`minimize` of :func:`objective` from that start.  Ties are
+    broken by lowest start index, making the result deterministic for a
+    fixed seed.
+    """
+    # Nelder-Mead with bounds clips trial points, so they are always in-box
+    searches = [
+        _nelder_mead(
+            x0, problem.lower, problem.upper,
             xatol=1e-8, fatol=config.tolerance, maxfev=config.max_evals,
         )
-        evals += res.nfev
-        if best is None or res.fun < best.fun:
+        for x0 in _start_points(problem, config)
+    ]
+    results = _lockstep(searches, functools.partial(_objectives, problem))
+    best = results[0]
+    for res in results[1:]:
+        if res.fun < best.fun:
             best = res
     return OptimizationResult(
         t_opt=float(best.x[0]),
         angles_opt=np.array(best.x[1:], dtype=float),
         fidelity=1.0 - float(best.fun),
-        objective_evaluations=evals,
+        objective_evaluations=sum(res.nfev for res in results),
         converged=bool(best.success),
+        starts=tuple(results),
     )
 
 

@@ -156,6 +156,10 @@ class ProtocolPlan:
     def __post_init__(self):
         n = check_qubit_count(self.n_qubits)
         t = check_real(self.entangle_duration, "entangle_duration")
+        if not isinstance(self.expected_phase, GlobalPhase):
+            raise ValueError(
+                f"expected_phase must be a GlobalPhase, got {self.expected_phase!r}"
+            )
         finals = []
         for p in self.finals:
             if p.axis not in ("x", "y", "z"):
@@ -290,16 +294,21 @@ class HamiltonianPropagator:
         """True when applies go through the eigendecomposition."""
         return self._rates is not None
 
-    def propagate(self, t: float) -> np.ndarray:
-        """e^{-iHt} applied to :data:`PREPARATION` |0...0>."""
+    def propagate(self, t) -> np.ndarray:
+        """e^{-iHt} applied to :data:`PREPARATION` |0...0>; for a 1-D array
+        of K times, the ``(K, 2^N)`` block of those states, each row equal
+        to the state for its time alone."""
         if self._rates is not None:
-            return self._eigvecs @ (np.exp(self._rates * t) * self._start)
-        rt = self._radius * t
-        if not abs(rt) <= MAX_CHEBYSHEV_ORDER:
+            # per row, one matrix-vector product, as for a single time (one
+            # product over all K columns would round otherwise)
+            phased = np.exp(self._rates * np.asarray(t)[..., None]) * self._start
+            return (self._eigvecs @ phased[..., None])[..., 0]
+        rt = self._radius * np.asarray(t)
+        if not np.all(np.abs(rt) <= MAX_CHEBYSHEV_ORDER):
             raise PropagationError(
                 f"e^(-iHt) at N = {self.n_qubits} needs a Chebyshev expansion of "
-                f"order ~{abs(rt):.3g} > {MAX_CHEBYSHEV_ORDER} (near-degenerate "
-                "couplings give a diverging entangling time)"
+                f"order ~{np.max(np.abs(rt)):.3g} > {MAX_CHEBYSHEV_ORDER} "
+                "(near-degenerate couplings give a diverging entangling time)"
             )
         h = self._scaled
 
@@ -308,7 +317,11 @@ class HamiltonianPropagator:
             # scipy's multi-vector CSR kernel is slower than single-vector ones
             return np.array([h @ row for row in v])
 
-        return chebyshev_propagate(matvec, self._centre, self._radius, self._start, t)
+        def expand(time: float) -> np.ndarray:
+            return chebyshev_propagate(matvec, self._centre, self._radius, self._start, time)
+
+        # one expansion per time: each one's length depends on its time
+        return np.array([expand(time) for time in t.tolist()]) if np.ndim(t) else expand(t)
 
 
 def _prepared(n: int) -> np.ndarray:
@@ -322,9 +335,11 @@ def _prepared(n: int) -> np.ndarray:
 def rotate_pulses(
     amplitudes: np.ndarray, n: int, pulses: tuple[Pulse, ...], us: list[np.ndarray]
 ) -> np.ndarray:
-    """Rotate a raw 2^n amplitude vector by ``pulses`` in order, pulse i by
-    the 2x2 matrix ``us[i]``; a collective pulse rotates qubits 1..n in
-    ascending order.  :class:`ProtocolPlan` checks the qubits."""
+    """Rotate a raw 2^n amplitude vector, or each row of a ``(K, 2^n)``
+    block, by ``pulses`` in order, pulse i by the 2x2 matrix ``us[i]`` or
+    by the ``(K, 2, 2)`` stack ``us[i]``, one matrix per row; a collective
+    pulse rotates qubits 1..n in ascending order.  :class:`ProtocolPlan`
+    checks the qubits."""
     for p, u in zip(pulses, us):
         for k in range(1, n + 1) if p.qubit is None else (p.qubit,):
             amplitudes = rotate_amplitudes(amplitudes, n, k, u)

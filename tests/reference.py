@@ -88,7 +88,8 @@ def pauli_on(n: int, k: int, axis: str) -> DenseOperator:
 def rotation_matrix(axis: str, angle: float) -> np.ndarray:
     """exp(-i (angle/2) sigma_axis) as the 2x2 array expression
     :func:`ghznet.dense.single_qubit_rotation` used first; its bytes are
-    the ones the package's scalar-built matrix must reproduce."""
+    the ones the package's matrix, broadcast over its angles, must
+    reproduce."""
     identity = np.eye(2, dtype=complex)
     return np.cos(angle / 2) * identity - 1j * np.sin(angle / 2) * PAULIS[axis]
 

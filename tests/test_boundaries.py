@@ -441,6 +441,12 @@ def test_plans_refuse_non_integer_pulse_qubits(qubit):
     _refused(lambda: ProtocolPlan(3, 1.0, (Pulse("z", 1.0, qubit),), PHASE))
 
 
+@pytest.mark.parametrize("phase", [1.0, 1j, None, "1", np.complex128(1.0)])
+def test_plans_refuse_a_phase_that_is_not_a_global_phase(phase):
+    # such a plan used to run, and then fail in to_dict
+    _refused(lambda: ProtocolPlan(3, 1.0, (), phase))
+
+
 def test_plans_store_python_numbers():
     pulse = Pulse("z", np.float64(0.5), np.int64(2))
     plan = ProtocolPlan(3, np.float64(1.0), (pulse, Pulse("x", np.float32(1.0))), PHASE)

@@ -204,6 +204,7 @@ class TestCommands:
             ["--kappa", "1", "--eta13-steps", "2"],
             # an empty grid
             ["--eta13-steps", "0"],
+            ["--eta13-steps", "-1"],
             ["--restarts", "0", "--eta13-steps", "2"],
             ["--seed", "-1", "--eta13-steps", "2"],
         ],
@@ -213,6 +214,14 @@ class TestCommands:
         assert main(["sweep", *argv, "--out", str(out)]) == EXIT_INPUT
         assert not out.exists()
         assert capsys.readouterr().out == ""
+
+    def test_sweep_negative_step_count_names_its_key(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--eta13-steps", "-1", "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "eta13_steps" in captured.err
 
     def test_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -151,7 +151,7 @@ class TestRotationKernel:
 
 
 class TestRotationMatrix:
-    """The scalar-built 2x2 matrix has the bytes of the array expression."""
+    """The package's 2x2 matrix has the bytes of the array expression."""
 
     @settings(max_examples=300, deadline=None)
     @given(

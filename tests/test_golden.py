@@ -90,6 +90,13 @@ def n4_results_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def test_benchmark_sweep_golden_is_this_golden():
+    # the benchmark checks its sweep against its own copy of this file;
+    # the two must not drift apart
+    bench = GOLDEN.parent.parent / "perfbench" / "expected_sweep.csv"
+    assert bench.read_bytes() == (GOLDEN / "sweep_default.csv").read_bytes()
+
+
 def test_n4_optimizer_results():
     assert n4_results_text().encode() == (GOLDEN / "optimize_n4.txt").read_bytes()
 

@@ -29,8 +29,20 @@ from ghznet.optimizer import (
     uncorrected_fidelity,
     write_sweep_csv,
 )
-from ghznet.dense import StateVector, fidelity_frobenius
-from ghznet.protocol import entangling_time, execute, ghz_target, theta
+from ghznet.dense import (
+    StateVector,
+    fidelity_frobenius,
+    fidelity_frobenius_raw,
+    rotate_amplitudes,
+    single_qubit_rotation,
+)
+from ghznet.protocol import (
+    HamiltonianPropagator,
+    entangling_time,
+    execute,
+    ghz_target,
+    theta,
+)
 
 FAST = OptimizerConfig(restarts=3)
 
@@ -104,6 +116,14 @@ class TestObjective:
         prob = problem_odd(ideal(3, 1, 0.05))
         with pytest.raises(ValueError):
             objective(prob, prob.ideal_params[:-1])
+
+    def test_run_refuses_a_wrong_length(self):
+        # a short vector used to run with the compiled angles in place of
+        # the missing ones, and a long one with its extra entries ignored
+        prob = problem_odd(ideal(3, 1, 0.05))
+        for params in (prob.ideal_params[:-1], np.append(prob.ideal_params, 0.0)):
+            with pytest.raises(ValueError, match="parameters"):
+                prob.run(params)
 
 
 def _families():
@@ -217,9 +237,135 @@ class TestMinimizeBits:
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+# FAMILIES plus a problem above EIGH_MAX_QUBITS, whose rows each run one
+# Chebyshev expansion
+BATCH_FAMILIES = {**FAMILIES, "odd-7": problem_odd(ideal(7, 1, 0.05))}
+
+
+class TestBatchedObjective:
+    """One batched evaluation of K rows gives each row's own value."""
+
+    @pytest.mark.parametrize("name", sorted(BATCH_FAMILIES))
+    @pytest.mark.parametrize("k", [1, 2, 8, 40])
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data(), near=st.booleans())
+    def test_each_row_equals_objective(self, name, k, data, near):
+        problem = BATCH_FAMILIES[name]
+        size = problem.ideal_params.shape[0]
+        span = problem.upper - problem.lower
+        fractions = np.array(
+            data.draw(st.lists(st.floats(0.0, 1.0), min_size=k * size, max_size=k * size))
+        ).reshape(k, size)
+        if near:
+            # within 1e-4 of the box's width of the ideal point
+            rows = problem.ideal_params + (fractions - 0.5) * 2e-4 * span
+        else:
+            rows = problem.lower + fractions * span
+        rows = np.clip(rows, problem.lower, problem.upper)
+        values = optimizer._objectives(problem, rows)
+        assert values.tolist() == [objective(problem, row) for row in rows]
+        states = problem._state(rows)
+        for row, state in zip(rows, states):
+            assert state.tobytes() == problem.run(row).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "below", "above"])
+    def test_one_bad_row_refuses_the_batch(self, name, bad):
+        problem = FAMILIES[name]
+        rows = np.tile(problem.ideal_params, (5, 1))
+        row = rows[3]
+        if bad == "below":
+            row[0] = np.nextafter(problem.lower[0], -np.inf)
+        elif bad == "above":
+            row[-1] = np.nextafter(problem.upper[-1], np.inf)
+        else:
+            row[-1] = bad
+        with pytest.raises(ValueError, match="bounds") as single:
+            objective(problem, row)
+        with pytest.raises(ValueError, match="bounds") as batched:
+            optimizer._objectives(problem, rows)
+        assert str(batched.value) == str(single.value)
+
+
+class TestLockstepBits:
+    """Nelder-Mead searches driven together, one batched call per round,
+    end where each one alone ends: where scipy does."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    @pytest.mark.parametrize("maxfev", [1, 3, 37, 20000])
+    @pytest.mark.parametrize("kind", ["rough", "nan"])
+    def test_every_start_equals_scipy(self, name, maxfev, kind):
+        problem = FAMILIES[name]
+        cut = problem.lower[0] + 0.6 * (problem.upper[0] - problem.lower[0])
+        nan_rows = []
+
+        def values(rows):
+            out = optimizer._objectives(problem, rows)
+            if kind == "rough":
+                # a coarse objective ties vertices and forces shrink steps
+                return [round(v, 3) for v in out.tolist()]
+            # NaN values never pass the convergence test or win a comparison
+            nan_rows.append(np.count_nonzero(rows[:, 0] > cut))
+            return np.where(rows[:, 0] > cut, np.nan, out)
+
+        def fun(params):
+            return values(np.asarray(params)[None])[0]
+
+        x0s = optimizer._start_points(problem, OptimizerConfig(restarts=5, seed=maxfev))
+        # one start on the NaN region's edge: its first simplex has a NaN vertex
+        x0s[-1][0] = cut
+        searches = [
+            optimizer._nelder_mead(x0, problem.lower, problem.upper, 1e-8, 1e-10, maxfev)
+            for x0 in x0s
+        ]
+        results = optimizer._lockstep(searches, values)
+        if kind == "nan" and maxfev > 3:
+            assert sum(nan_rows) > 0
+        bounds = list(zip(problem.lower, problem.upper))
+        for x0, ours in zip(x0s, results):
+            ref = scipy_minimize(
+                fun, x0, method="Nelder-Mead", bounds=bounds,
+                options={"xatol": 1e-8, "fatol": 1e-10, "maxfev": maxfev},
+            )
+            assert ours.x.tobytes() == ref.x.tobytes()
+            assert ours.fun == ref.fun or (np.isnan(ours.fun) and np.isnan(ref.fun))
+            assert ours.nfev == ref.nfev
+            assert ours.success == ref.success
+
+
+class TestBatchKernels:
+    """The dense kernels on a one-row block give the bytes of the 1-D call."""
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_rotation_and_fidelity(self, n):
+        rng = np.random.default_rng(n)
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        target = ghz_target(n).state.amplitudes
+        for k in range(1, n + 1):
+            u = single_qubit_rotation("xyz"[k % 3], rng.uniform(0, 2 * np.pi))
+            alone = rotate_amplitudes(psi, n, k, u)
+            assert rotate_amplitudes(psi[None], n, k, u).tobytes() == alone.tobytes()
+            assert rotate_amplitudes(psi[None], n, k, u[None]).tobytes() == alone.tobytes()
+        for align in (True, False):
+            alone = fidelity_frobenius_raw(psi, target, align_phase=align)
+            batch = fidelity_frobenius_raw(psi[None], target, align_phase=align)
+            assert batch.shape == (1,)
+            assert batch.tobytes() == np.float64(alone).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_propagation_rows(self, n):
+        prop = HamiltonianPropagator(ideal(n, 1.0, 0.05))
+        times = np.array([0.3, entangling_time(1.0, 0.05), 2.9])
+        block = prop.propagate(times)
+        assert block.shape == (3, 1 << n)
+        for t, row in zip(times.tolist(), block):
+            assert row.tobytes() == prop.propagate(t).tobytes()
+
+
 class TestBoundsCheck:
-    """``objective``'s box test on Python floats refuses and accepts what
-    the elementwise numpy comparison did."""
+    """``objective``'s box test refuses NaN, +-inf and the next float past
+    either edge, and accepts the edges and -0.0 at a zero lower bound."""
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
