@@ -35,13 +35,12 @@ bit; :func:`objective` is the one-row case.
 
 The search is bounded Nelder-Mead (Nelder and Mead, Comput. J. 7, 308
 (1965)) ported from scipy 1.17.1 so that importing the package does not
-load ``scipy.optimize``; it returns scipy's results bit for bit.  Its
-steps live once, in the generator :func:`_nelder_mead`, which yields each
-stage's trial points as a block and is sent their values.
-:func:`minimize` drives one such search alone.  :func:`optimize` drives
-one per start in lockstep, each round evaluating the pending rows of all
-starts in one batched call; every start keeps its own simplex and
-budget, so its result is the one it reaches alone.
+load ``scipy.optimize``.  :func:`_lockstep` runs S searches as array
+operations on one ``(S, n + 1, n)`` simplex array, each stage evaluating
+the trial points of all S in one batched call, and each search ends
+where it ends alone.  :func:`optimize` runs one search per start and
+:func:`minimize` one search; with two or more variables both return
+scipy's results bit for bit.
 
 A three-qubit correction is reported as one row, built by
 :func:`correction_row` and formatted by :func:`row_cells`: every row of
@@ -124,6 +123,9 @@ class OptimizationProblem:
         """Amplitudes of :meth:`run` for each row of a ``(K, p)`` block of
         parameter vectors, in one batched evaluation, without building a
         plan or a state; each row's amplitudes are those it has alone."""
+        # "not inside the box", so that NaN (never inside) is refused too
+        if not ((self.lower <= rows) & (rows <= self.upper)).all():
+            raise ValueError("parameters outside the problem bounds")
         finals = self.plan.finals
         us = list(self._matrices)
         # one call per axis builds that axis's free matrices for every row
@@ -232,168 +234,169 @@ def objective(problem: OptimizationProblem, params: np.ndarray) -> float:
 def _objectives(problem: OptimizationProblem, rows: np.ndarray) -> np.ndarray:
     """:func:`objective` of each row of a ``(K, p)`` block, in one batched
     evaluation; each value equals the row's own."""
-    # "not inside the box", so that NaN (never inside) is refused too
-    if not ((problem.lower <= rows) & (rows <= problem.upper)).all():
-        raise ValueError("parameters outside the problem bounds")
     return 1.0 - fidelity_frobenius_raw(
         problem._state(rows), problem._target, align_phase=True
     )
 
 
 def _clip(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """``np.clip`` of a 1-D array without its dispatch: the same bytes,
+    """``np.clip`` of each row of ``x`` without its dispatch: the same bytes,
     NaN and both signed zeros included."""
     return np.minimum(np.maximum(x, lower), upper)
 
 
-def _nelder_mead(x0, lower, upper, xatol, fatol, maxfev):
-    """Bounded Nelder-Mead from ``x0``, as a generator of trial points.
+def _nelder_mead(x0, lower, upper, xatol, fatol, maxfev) -> tuple:
+    """One bounded Nelder-Mead search for :func:`_lockstep`: ``x0`` clipped
+    into [``lower``, ``upper``] as scipy clips it, the box, the tolerances
+    and the evaluation budget."""
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    return np.clip(x0, lower, upper), lower, upper, xatol, fatol, maxfev
 
-    Each stage yields its trial points as one ``(m, n)`` block and is sent
-    back their m values: the n + 1 vertices of the first simplex
-    together, one row for each reflection, expansion or contraction, and
-    the shrunk vertices together.  It returns the :class:`MinimizeResult`.
-    A block is read before its values are sent, and not after.
 
-    The steps are a port of scipy 1.17.1's ``_minimize_neldermead`` with
-    ``bounds`` and ``maxfev``, reduced to the non-adaptive method and the
-    default initial simplex.  They keep scipy's floating-point operations,
-    on the same values and in the same order (the twice-sorted first
-    simplex, the row-by-row centroid, a clip after every trial point), so
-    the result matches ``scipy.optimize.minimize(method="Nelder-Mead")``
-    bit for bit, including which of two tied vertices ``np.argsort`` puts
-    first.  scipy stops at the first evaluation past ``maxfev``, and so
-    does each stage here: a reflection that spends the budget stores
-    nothing, and a shrink with c evaluations left moves vertices
-    1..c + 1 and evaluates 1..c.  Only bookkeeping differs: the sorts call
-    the ``argsort`` and ``take`` methods that ``np.argsort`` and
-    ``np.take`` forward to, the loop's clips are :func:`_clip`, the
-    f-convergence test runs on Python floats, the integer coefficients are
-    floats, and the reflection factor rho = 1 is left out of the products,
-    where it is exact.
+def _lockstep(searches: list, evaluate) -> list[MinimizeResult]:
+    """Run :func:`_nelder_mead` searches together; their results, in order.
+
+    The searches share one box, tolerances and budget.  Their simplices
+    are one ``(S, n + 1, n)`` array, with ``(S, n + 1)`` values and
+    ``(S,)`` evaluation counts, and a finished search leaves the arrays.
+    Each stage stacks the trial points of every search that needs it for
+    one ``evaluate`` call, which returns their values: the first
+    simplices, then each round the reflections, the expansions and
+    contractions, and the shrunk vertices.  No search reads another's
+    values, so each result equals its S = 1 run.
+
+    The steps port scipy 1.17.1's ``_minimize_neldermead`` with ``bounds``
+    and ``maxfev`` (non-adaptive, default initial simplex), with scipy's
+    floating-point operations on the same values in the same order, so
+    that with n >= 2 variables the result is scipy's bit for bit, ties in
+    ``np.argsort`` included.  This needs: the twice-sorted first simplex,
+    clipped by ``np.clip`` on the 3-D array with 1-D bounds (the bytes of
+    each simplex's own 2-D clip); :func:`_clip` on every trial point; the
+    centroid summed vertex by vertex; scipy's stop at the first evaluation
+    past ``maxfev`` in every stage (a reflection that spends the budget
+    and beats the best vertex stores nothing; a shrink with c evaluations
+    left moves vertices 1..min(n, c + 1) and evaluates the first
+    min(n, c)); and a convergence test that NaN fails.  Every second
+    trial point is ``a * xbar - (a - 1) * worst``; for the inside
+    contraction, a = 0.5, that is scipy's ``0.5 * xbar + 0.5 * worst``
+    bit for bit, as x - (-y) is x + y.
+
+    With n = 1 the result can differ from scipy's in the sign of a zero,
+    and so in later steps: scipy's ``Bounds`` hands ``np.clip`` a stride-0
+    bound, which keeps -0.0 against a +0.0 bound (and the reverse) where
+    :func:`_clip` returns the bound.  On a box away from zero they agree.
     """
+    lower, upper, xatol, fatol, maxfev = searches[0][1:]
+    if any(s[3:] != (xatol, fatol, maxfev) or not np.array_equal(s[1], lower)
+           or not np.array_equal(s[2], upper) for s in searches):
+        raise ValueError("searches in lockstep must share box, tolerances and budget")
     # float coefficients, and n_float below: numpy multiplies and divides by
     # a Python int more slowly, and each int here converts to the same float64
     chi, psi, sigma = 2.0, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
 
-    x0 = np.clip(x0, lower, upper)
-    n = len(x0)
+    def values(rows):
+        return np.asarray(evaluate(rows), dtype=float)
+
+    x0 = np.stack([search[0] for search in searches])
+    count, n = x0.shape
     n_float = float(n)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = x0.copy()
-        y[k] = (1 + nonzdelt) * y[k] if y[k] != 0 else zdelt
-        sim[k + 1] = y
+    diag = np.arange(n)
+    sim = np.repeat(x0[:, None], n + 1, axis=1)
+    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + nonzdelt) * x0, zdelt)
     # a vertex pushed past the upper bound is reflected into the box, so
     # that clipping cannot make the simplex degenerate
     sim = np.where(sim > upper, 2 * upper - sim, sim)
-    # np.clip, not _clip: on a 2-D simplex with n = 1 they disagree on the
-    # sign of a zero
     sim = np.clip(sim, lower, upper)
 
-    fsim = np.full(n + 1, np.inf)
-    nfev = min(n + 1, maxfev)
-    if nfev:
-        fsim[:nfev] = yield sim[:nfev]
-    # scipy sorts the first simplex twice; both sorts stay, so that tied
-    # values end up in scipy's order without relying on a stable argsort
+    fsim = np.full((count, n + 1), np.inf)
+    first = min(n + 1, maxfev)
+    if first:
+        fsim[:, :first] = values(sim[:, :first].reshape(-1, n)).reshape(count, first)
+    nfev = np.full(count, first)
+    at = np.arange(count)[:, None]
+    # both of scipy's sorts stay, so that tied values end up in scipy's
+    # order without relying on a stable argsort
     for _ in range(2):
-        ind = fsim.argsort()
-        sim = sim.take(ind, 0)
-        fsim = fsim.take(ind, 0)
+        ind = fsim.argsort(axis=1)
+        sim, fsim = sim[at, ind], fsim[at, ind]
 
-    while nfev < maxfev:
-        # the cheap test on Python floats first; like np.max(...) <= fatol
-        # it is False on NaN
-        f0, *fs = fsim.tolist()
-        if (all(abs(f0 - f) <= fatol for f in fs)
-                and np.max(np.abs(sim[1:] - sim[0])) <= xatol):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n_float
-        # reflection, (1 + rho) * xbar - rho * sim[-1] with rho = 1
-        xr = _clip(2.0 * xbar - sim[-1], lower, upper)
-        (fxr,) = yield xr[None]
+    results = [None] * count
+    search_of = np.arange(count)
+    vertex = np.arange(1, n + 1)
+    while True:
+        # fsim is sorted, NaN last, so its widest gap is the last minus the
+        # first; an infinite value minus another is NaN, with no warning
+        with np.errstate(invalid="ignore"):
+            flat = fsim[:, -1] - fsim[:, 0] <= fatol
+        done = nfev >= maxfev
+        if flat.any():
+            done |= flat & (np.abs(sim[:, 1:] - sim[:, :1]).max((1, 2)) <= xatol)
+        if done.any():
+            for i in np.flatnonzero(done):
+                results[search_of[i]] = MinimizeResult(
+                    x=sim[i, 0], fun=np.min(fsim[i]), nfev=int(nfev[i]),
+                    success=bool(nfev[i] < maxfev),
+                )
+            live = ~done
+            if not live.any():
+                return results
+            search_of, sim, fsim, nfev = search_of[live], sim[live], fsim[live], nfev[live]
+            at = at[:len(search_of)]
+
+        xbar = np.add.reduce(sim[:, :-1], 1) / n_float
+        worst, fworst = sim[:, -1], fsim[:, -1]
+        # reflection, (1 + rho) * xbar - rho * worst with rho = 1
+        xr = _clip(2.0 * xbar - worst, lower, upper)
+        fxr = values(xr)
         nfev += 1
-        if fxr < fsim[0]:
-            if nfev < maxfev:
-                xe = _clip((1 + chi) * xbar - chi * sim[-1], lower, upper)
-                (fxe,) = yield xe[None]
-                nfev += 1
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif nfev < maxfev:
-            if fxr < fsim[-1]:
-                # outside contraction
-                xc = _clip((1 + psi) * xbar - psi * sim[-1], lower, upper)
-                (fxc,) = yield xc[None]
-                shrink = not fxc <= fxr
-                if not shrink:
-                    sim[-1], fsim[-1] = xc, fxc
-            else:
-                # inside contraction
-                xcc = _clip((1 - psi) * xbar + psi * sim[-1], lower, upper)
-                (fxcc,) = yield xcc[None]
-                shrink = not fxcc < fsim[-1]
-                if not shrink:
-                    sim[-1], fsim[-1] = xcc, fxcc
-            nfev += 1
-            if shrink:
-                left = maxfev - nfev
-                for j in range(1, min(n, left + 1) + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    sim[j] = _clip(sim[j], lower, upper)
-                evaluated = min(n, left)
-                if evaluated:
-                    fsim[1:evaluated + 1] = yield sim[1:evaluated + 1]
-                    nfev += evaluated
-        ind = fsim.argsort()
-        sim = sim.take(ind, 0)
-        fsim = fsim.take(ind, 0)
+        better = fxr < fsim[:, 0]
+        good = ~better & (fxr < fsim[:, -2])
+        # the point and value that replace the worst vertex, and where
+        new_x, new_f, replace = xr, fxr, good
+        # the rest expand or contract, if they have budget left
+        second = ~good & (nfev < maxfev)
+        if second.any():
+            outside = fxr < fworst
+            # a = 1 + chi (expansion), 1 + psi (outside) or 1 - psi (inside)
+            a = np.where(better, 1 + chi, np.where(outside, 1 + psi, 1 - psi))[:, None]
+            xt = _clip(a * xbar - (a - 1.0) * worst, lower, upper)
+            fxt = fxr.copy()
+            fxt[second] = values(xt[second])
+            nfev += second
+            accept = second & np.where(
+                better, fxt < fxr, np.where(outside, fxt <= fxr, fxt < fworst)
+            )
+            new_x = np.where(accept[:, None], xt, xr)
+            new_f = np.where(accept, fxt, fxr)
+            # an expansion that fails keeps the reflection
+            replace = good | accept | (second & better)
+        sim[:, -1] = np.where(replace[:, None], new_x, worst)
+        fsim[:, -1] = np.where(replace, new_f, fworst)
 
-    return MinimizeResult(x=sim[0], fun=np.min(fsim), nfev=nfev, success=nfev < maxfev)
+        # a contraction that fails shrinks the simplex towards its best vertex
+        shrink = second & ~replace
+        if shrink.any():
+            left = (maxfev - nfev)[:, None]
+            moved = _clip(sim[:, :1] + sigma * (sim[:, 1:] - sim[:, :1]), lower, upper)
+            moves = shrink[:, None] & (vertex <= left + 1)
+            sim[:, 1:] = np.where(moves[..., None], moved, sim[:, 1:])
+            evaluated = shrink[:, None] & (vertex <= left)
+            if evaluated.any():
+                fsim[:, 1:][evaluated] = values(sim[:, 1:][evaluated])
+                nfev += evaluated.sum(1)
 
-
-def _lockstep(searches: list, evaluate) -> list[MinimizeResult]:
-    """Drive :func:`_nelder_mead` generators together; their results, in order.
-
-    Each round stacks the pending block of every unfinished search into
-    one ``(K, n)`` array, evaluates it in one ``evaluate`` call, which
-    returns the K values, and sends each search its own rows' values.  No
-    search reads another's values, so each result equals the one its
-    generator reaches alone.
-    """
-    results = [None] * len(searches)
-    # (search index, values to send it); None starts a fresh generator
-    sends = [(i, None) for i in range(len(searches))]
-    while sends:
-        blocks = []
-        for i, values in sends:
-            try:
-                blocks.append((i, searches[i].send(values)))
-            except StopIteration as stop:
-                results[i] = stop.value
-        if not blocks:
-            break
-        stacked = evaluate(np.concatenate([block for _, block in blocks]))
-        sends, at = [], 0
-        for i, block in blocks:
-            sends.append((i, stacked[at:at + len(block)]))
-            at += len(block)
-    return results
+        ind = fsim.argsort(axis=1)
+        sim, fsim = sim[at, ind], fsim[at, ind]
 
 
 def minimize(fun, x0, lower, upper, xatol, fatol, maxfev) -> MinimizeResult:
-    """Bounded Nelder-Mead from ``x0`` within [``lower``, ``upper``]: one
-    :func:`_nelder_mead` search, with ``fun`` called once per trial point
-    on a row of its own.  Its result equals scipy's bit for bit."""
+    """Bounded Nelder-Mead from ``x0`` within [``lower``, ``upper``]: the
+    one-search :func:`_lockstep`, with ``fun`` called once per trial point
+    on a row of its own.  For two or more variables its result equals
+    scipy's bit for bit (one variable: see :func:`_lockstep`)."""
     search = _nelder_mead(x0, lower, upper, xatol, fatol, maxfev)
-    (result,) = _lockstep([search], lambda block: [fun(x) for x in block])
+    (result,) = _lockstep([search], lambda rows: [fun(x) for x in rows])
     return result
 
 
@@ -417,24 +420,20 @@ def optimize(
     problem: OptimizationProblem, config: OptimizerConfig = OptimizerConfig()
 ) -> OptimizationResult:
     """Multistart Nelder-Mead over the problem's parameter box, all starts
-    in lockstep.
+    in one :func:`_lockstep`.
 
     Start 0 is the ideal (uncorrected) parameter point; the remaining
     starts are drawn around it from a seeded generator
-    (:func:`_start_points`).  Each start runs its
-    own :func:`_nelder_mead` search with its own budget of ``max_evals``;
-    each round evaluates the trial points of every unfinished start in
-    one batched call.  So each start's result, kept in ``starts``, equals
+    (:func:`_start_points`).  Each start has its own budget of
+    ``max_evals``, and its result, kept in ``starts``, equals
     :func:`minimize` of :func:`objective` from that start.  Ties are
     broken by lowest start index, making the result deterministic for a
     fixed seed.
     """
     # Nelder-Mead with bounds clips trial points, so they are always in-box
+    box = problem.lower, problem.upper
     searches = [
-        _nelder_mead(
-            x0, problem.lower, problem.upper,
-            xatol=1e-8, fatol=config.tolerance, maxfev=config.max_evals,
-        )
+        _nelder_mead(x0, *box, 1e-8, config.tolerance, config.max_evals)
         for x0 in _start_points(problem, config)
     ]
     results = _lockstep(searches, functools.partial(_objectives, problem))

@@ -460,3 +460,13 @@ def test_plans_store_python_numbers():
 def test_sweep_refuses_an_empty_grid():
     _refused(lambda: sweep([]))
     _refused(lambda: sweep(np.array([]), g12="x"))
+
+
+@pytest.mark.parametrize("column, value", [(0, math.nan), (1, 10.0), (3, -math.inf)])
+def test_problem_run_refuses_a_point_outside_the_box(column, value):
+    # run used to return an all-NaN or out-of-box state where objective refused
+    problem = problem_odd(perturbed_n3(1.0, 0.02, 0.06, 0.05))
+    params = problem.ideal_params.copy()
+    params[column] = value
+    with pytest.raises(ValueError, match="outside the problem bounds"):
+        problem.run(params)

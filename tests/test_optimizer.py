@@ -333,6 +333,61 @@ class TestLockstepBits:
             assert ours.success == ref.success
 
 
+class TestLockstepIndependence:
+    """A search's result does not depend on the other searches of its
+    lockstep: each equals its own one-search run, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 5),
+        count=st.integers(1, 9),
+        maxfev=st.sampled_from([1, 2, 3, 5, 37]),
+        kind=st.sampled_from(["rough", "nan"]),
+    )
+    def test_each_search_equals_its_own_run(self, data, n, count, maxfev, kind):
+        def vector(values):
+            return np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+
+        lower = vector(st.sampled_from([0.0, -0.0, -1.0, 0.5]))
+        # a zero width pins a coordinate; -0.0 + 0.0 gives a +0.0 upper bound
+        upper = lower + vector(st.sampled_from([0.0, 0.5, 3.0]))
+        centre = vector(st.floats(-1.0, 4.0))
+        x0s = [vector(st.sampled_from([0.0, -0.0]) | st.floats(-1.5, 4.0)) for _ in range(count)]
+
+        def values(rows):
+            out = []
+            for x in rows:
+                value = float(np.sum((x - centre) ** 2 + np.cos(3 * x)))
+                if kind == "rough":
+                    # a coarse objective ties vertices and forces shrink steps
+                    out.append(round(value, 1))
+                else:
+                    out.append(np.nan if x[0] > centre[0] else value)
+            return out
+
+        def search(x0):
+            return optimizer._nelder_mead(x0, lower, upper, 1e-8, 1e-10, maxfev)
+
+        together = optimizer._lockstep([search(x0) for x0 in x0s], values)
+        for x0, ours in zip(x0s, together):
+            (alone,) = optimizer._lockstep([search(x0)], values)
+            assert ours.x.tobytes() == alone.x.tobytes()
+            assert np.float64(ours.fun).tobytes() == np.float64(alone.fun).tobytes()
+            assert ours.nfev == alone.nfev
+            assert ours.success == alone.success
+
+    def test_searches_must_share_box_tolerances_and_budget(self):
+        lower, upper = np.zeros(2), np.ones(2)
+        first = optimizer._nelder_mead([0.5, 0.5], lower, upper, 1e-8, 1e-10, 37)
+        for other in (
+            optimizer._nelder_mead([0.5, 0.5], lower, upper, 1e-8, 1e-10, 36),
+            optimizer._nelder_mead([0.5, 0.5], lower, 2 * upper, 1e-8, 1e-10, 37),
+        ):
+            with pytest.raises(ValueError, match="share"):
+                optimizer._lockstep([first, other], lambda rows: [0.0] * len(rows))
+
+
 class TestBatchKernels:
     """The dense kernels on a one-row block give the bytes of the 1-D call."""
 
@@ -432,10 +487,41 @@ class TestMinimizeBookkeeping:
         upper = np.maximum(lower, row(st.sampled_from([0.0, -0.0, 1.0, 2.0])))
         values = st.sampled_from(CLIP_VALUES) | st.floats()
         sim = np.stack([row(values) for _ in range(n + 1)])
-        # a fresh trial point and a simplex row, as minimize clips both
+        # a fresh trial point and a simplex row
         for x in (sim[-1].copy(), sim[-1]):
             want = np.clip(x, lower, upper)
             assert optimizer._clip(x, lower, upper).tobytes() == want.tobytes()
+        # a (K, n) block, as the lockstep clips every search's trial point at once
+        block = np.stack([row(values) for _ in range(data.draw(st.integers(1, 9)))])
+        want = np.stack([np.clip(x, lower, upper) for x in block])
+        assert optimizer._clip(block, lower, upper).tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x0=st.floats(0.5, 3.5),
+        centre=st.floats(0.0, 4.0),
+        maxfev=st.sampled_from([1, 2, 3, 5, 37, 2000]),
+        rough=st.booleans(),
+    )
+    def test_one_variable_equals_scipy_away_from_zero(self, x0, centre, maxfev, rough):
+        # with one variable the port and scipy can part on the sign of a
+        # zero at a bound (see _lockstep); a box away from zero has none
+        def fun(x):
+            value = float((x[0] - centre) ** 2 + np.cos(3 * x[0]))
+            return round(value, 1) if rough else value
+
+        lower, upper = np.array([0.5]), np.array([3.5])
+        ours = optimizer.minimize(
+            fun, [x0], lower, upper, xatol=1e-8, fatol=1e-10, maxfev=maxfev
+        )
+        ref = scipy_minimize(
+            fun, [x0], method="Nelder-Mead", bounds=[(0.5, 3.5)],
+            options={"xatol": 1e-8, "fatol": 1e-10, "maxfev": maxfev},
+        )
+        assert ours.x.tobytes() == ref.x.tobytes()
+        assert ours.fun == ref.fun
+        assert ours.nfev == ref.nfev
+        assert ours.success == ref.success
 
     @pytest.mark.parametrize("where", [0.2, 0.5, 0.8])
     def test_nan_objective_equals_scipy(self, where):
