@@ -35,12 +35,13 @@ bit; :func:`objective` is the one-row case.
 
 The search is bounded Nelder-Mead (Nelder and Mead, Comput. J. 7, 308
 (1965)) ported from scipy 1.17.1 so that importing the package does not
-load ``scipy.optimize``.  :func:`_lockstep` runs S searches as array
-operations on one ``(S, n + 1, n)`` simplex array, each stage evaluating
-the trial points of all S in one batched call, and each search ends
-where it ends alone.  :func:`optimize` runs one search per start and
-:func:`minimize` one search; with two or more variables both return
-scipy's results bit for bit.
+load ``scipy.optimize``.  :func:`_lockstep` takes an ``(S, n)`` array of
+starts and one box, tolerances and budget, and runs the S searches as
+array operations on one ``(S, n + 1, n)`` simplex array, each stage
+evaluating the trial points of all S in one batched call; each search
+ends where it ends alone.  :func:`optimize` passes its ``(S, p)`` start
+array (:func:`_start_points`) and :func:`minimize` a one-row one; with
+two or more variables both return scipy's results bit for bit.
 
 A three-qubit correction is reported as one row, built by
 :func:`correction_row` and formatted by :func:`row_cells`: every row of
@@ -77,13 +78,27 @@ class OptimizationProblem:
     ``ideal_params`` is the point that reproduces ``plan`` unchanged.
     The time may range over [0.5, 1.5] times the compiled one and each
     angle over [0, ``angle_upper``].  Build one with :func:`problem_odd`,
-    :func:`problem_even_restricted` or :func:`problem_even_full`.
+    :func:`problem_even_restricted` or :func:`problem_even_full`.  The
+    constructor refuses, with ``ValueError``, a plan and graph with
+    different qubit counts, ``free`` indices that are not distinct
+    integers indexing ``plan.finals``, a non-finite ``angle_upper``, and a
+    box that does not hold the ideal point.
     """
 
     def __init__(
         self, graph: CouplingGraph, plan: ProtocolPlan, free: tuple[int, ...],
         angle_upper: float,
     ):
+        if graph.n_qubits != plan.n_qubits:
+            raise ValueError(
+                f"plan is for {plan.n_qubits} qubits but graph has {graph.n_qubits}"
+            )
+        free = tuple(check_integer(i, "free pulse index") for i in free)
+        if len(set(free)) != len(free) or not all(0 <= i < len(plan.finals) for i in free):
+            raise ValueError(
+                f"free must be distinct indices 0..{len(plan.finals) - 1}, got {free}"
+            )
+        angle_upper = check_real(angle_upper, "angle_upper")
         t_ideal = plan.entangle_duration
         self.graph = graph
         self.plan = plan
@@ -91,6 +106,11 @@ class OptimizationProblem:
         self.ideal_params = np.array([t_ideal] + [plan.finals[i].angle for i in free])
         self.lower = np.concatenate([[0.5 * t_ideal], np.zeros(len(free))])
         self.upper = np.concatenate([[1.5 * t_ideal], np.full(len(free), angle_upper)])
+        if not ((self.lower <= self.ideal_params) & (self.ideal_params <= self.upper)).all():
+            raise ValueError(
+                f"ideal parameters {self.ideal_params.tolist()} outside the box "
+                f"[{self.lower.tolist()}, {self.upper.tolist()}]"
+            )
         self._propagator = HamiltonianPropagator(graph)
         # the 2x2 matrix of each pulse in plan.finals at its compiled angle
         self._matrices = [single_qubit_rotation(p.axis, p.angle) for p in plan.finals]
@@ -240,38 +260,35 @@ def _objectives(problem: OptimizationProblem, rows: np.ndarray) -> np.ndarray:
 
 
 def _clip(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """``np.clip`` of each row of ``x`` without its dispatch: the same bytes,
-    NaN and both signed zeros included."""
+    """The 1-D ``np.clip`` of each row of ``x`` without its dispatch: the
+    same bytes, NaN and both signed zeros included."""
     return np.minimum(np.maximum(x, lower), upper)
 
 
-def _nelder_mead(x0, lower, upper, xatol, fatol, maxfev) -> tuple:
-    """One bounded Nelder-Mead search for :func:`_lockstep`: ``x0`` clipped
-    into [``lower``, ``upper``] as scipy clips it, the box, the tolerances
-    and the evaluation budget."""
-    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
-    return np.clip(x0, lower, upper), lower, upper, xatol, fatol, maxfev
+def _lockstep(x0, lower, upper, xatol, fatol, maxfev, evaluate) -> list[MinimizeResult]:
+    """Bounded Nelder-Mead from each row of the ``(S, n)`` start array
+    ``x0``, all S searches together; their results, in row order.
 
-
-def _lockstep(searches: list, evaluate) -> list[MinimizeResult]:
-    """Run :func:`_nelder_mead` searches together; their results, in order.
-
-    The searches share one box, tolerances and budget.  Their simplices
-    are one ``(S, n + 1, n)`` array, with ``(S, n + 1)`` values and
-    ``(S,)`` evaluation counts, and a finished search leaves the arrays.
-    Each stage stacks the trial points of every search that needs it for
-    one ``evaluate`` call, which returns their values: the first
-    simplices, then each round the reflections, the expansions and
-    contractions, and the shrunk vertices.  No search reads another's
-    values, so each result equals its S = 1 run.
+    The searches share the box [``lower``, ``upper``], the tolerances and
+    the budget of ``maxfev`` evaluations each.  Their simplices are one
+    ``(S, n + 1, n)`` array, with ``(S, n + 1)`` values and ``(S,)``
+    evaluation counts, and a finished search leaves the arrays.  Each
+    stage stacks the trial points of every search that needs it for one
+    ``evaluate`` call, which returns their values: the first simplices,
+    then each round the reflections, the expansions and contractions, and
+    the shrunk vertices.  No search reads another's values, so each
+    result equals its S = 1 run.
 
     The steps port scipy 1.17.1's ``_minimize_neldermead`` with ``bounds``
     and ``maxfev`` (non-adaptive, default initial simplex), with scipy's
     floating-point operations on the same values in the same order, so
     that with n >= 2 variables the result is scipy's bit for bit, ties in
-    ``np.argsort`` included.  This needs: the twice-sorted first simplex,
-    clipped by ``np.clip`` on the 3-D array with 1-D bounds (the bytes of
-    each simplex's own 2-D clip); :func:`_clip` on every trial point; the
+    ``np.argsort`` included.  This needs: the starts clipped by
+    :func:`_clip`, which gives each row the bytes of its own 1-D
+    ``np.clip`` (with n = 1, ``np.clip`` of the 2-D array keeps -0.0
+    against a +0.0 bound); the twice-sorted first simplex, clipped by
+    ``np.clip`` on the 3-D array with 1-D bounds (the bytes of each
+    simplex's own 2-D clip); :func:`_clip` on every trial point; the
     centroid summed vertex by vertex; scipy's stop at the first evaluation
     past ``maxfev`` in every stage (a reflection that spends the budget
     and beats the best vertex stores nothing; a shrink with c evaluations
@@ -286,10 +303,7 @@ def _lockstep(searches: list, evaluate) -> list[MinimizeResult]:
     bound, which keeps -0.0 against a +0.0 bound (and the reverse) where
     :func:`_clip` returns the bound.  On a box away from zero they agree.
     """
-    lower, upper, xatol, fatol, maxfev = searches[0][1:]
-    if any(s[3:] != (xatol, fatol, maxfev) or not np.array_equal(s[1], lower)
-           or not np.array_equal(s[2], upper) for s in searches):
-        raise ValueError("searches in lockstep must share box, tolerances and budget")
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     # float coefficients, and n_float below: numpy multiplies and divides by
     # a Python int more slowly, and each int here converts to the same float64
     chi, psi, sigma = 2.0, 0.5, 0.5
@@ -298,7 +312,7 @@ def _lockstep(searches: list, evaluate) -> list[MinimizeResult]:
     def values(rows):
         return np.asarray(evaluate(rows), dtype=float)
 
-    x0 = np.stack([search[0] for search in searches])
+    x0 = _clip(np.asarray(x0, dtype=float), lower, upper)
     count, n = x0.shape
     n_float = float(n)
     diag = np.arange(n)
@@ -395,25 +409,22 @@ def minimize(fun, x0, lower, upper, xatol, fatol, maxfev) -> MinimizeResult:
     one-search :func:`_lockstep`, with ``fun`` called once per trial point
     on a row of its own.  For two or more variables its result equals
     scipy's bit for bit (one variable: see :func:`_lockstep`)."""
-    search = _nelder_mead(x0, lower, upper, xatol, fatol, maxfev)
-    (result,) = _lockstep([search], lambda rows: [fun(x) for x in rows])
+    (result,) = _lockstep(
+        [x0], lower, upper, xatol, fatol, maxfev, lambda rows: [fun(x) for x in rows]
+    )
     return result
 
 
-def _start_points(problem: OptimizationProblem, config: OptimizerConfig) -> list[np.ndarray]:
-    """The ideal point, then ``restarts - 1`` points drawn around it from
-    the seeded generator (0.1 rad in angles, 5% in time), clipped to the box."""
+def _start_points(problem: OptimizationProblem, config: OptimizerConfig) -> np.ndarray:
+    """The ``(restarts, p)`` start array: the ideal point, then ``restarts -
+    1`` points drawn around it in one call to the seeded generator (0.1 rad
+    in angles, 5% in time), clipped to the box."""
     rng = np.random.default_rng(config.seed)
-    starts = [problem.ideal_params.copy()]
-    t_ideal = problem.ideal_params[0]
-    for _ in range(config.restarts - 1):
-        step = rng.uniform(-1.0, 1.0, size=problem.ideal_params.shape)
-        step[0] *= 0.05 * t_ideal
-        step[1:] *= 0.1
-        starts.append(
-            np.clip(problem.ideal_params + step, problem.lower, problem.upper)
-        )
-    return starts
+    ideal = problem.ideal_params
+    step = rng.uniform(-1.0, 1.0, size=(config.restarts - 1, ideal.shape[0]))
+    step[:, 0] *= 0.05 * ideal[0]
+    step[:, 1:] *= 0.1
+    return np.vstack([ideal, _clip(ideal + step, problem.lower, problem.upper)])
 
 
 def optimize(
@@ -422,21 +433,20 @@ def optimize(
     """Multistart Nelder-Mead over the problem's parameter box, all starts
     in one :func:`_lockstep`.
 
-    Start 0 is the ideal (uncorrected) parameter point; the remaining
-    starts are drawn around it from a seeded generator
-    (:func:`_start_points`).  Each start has its own budget of
+    The starts are the rows of :func:`_start_points`' ``(restarts, p)``
+    array: row 0 is the ideal (uncorrected) parameter point, the rest are
+    drawn around it from a seeded generator.  Each start has its own budget of
     ``max_evals``, and its result, kept in ``starts``, equals
     :func:`minimize` of :func:`objective` from that start.  Ties are
     broken by lowest start index, making the result deterministic for a
     fixed seed.
     """
     # Nelder-Mead with bounds clips trial points, so they are always in-box
-    box = problem.lower, problem.upper
-    searches = [
-        _nelder_mead(x0, *box, 1e-8, config.tolerance, config.max_evals)
-        for x0 in _start_points(problem, config)
-    ]
-    results = _lockstep(searches, functools.partial(_objectives, problem))
+    results = _lockstep(
+        _start_points(problem, config), problem.lower, problem.upper,
+        1e-8, config.tolerance, config.max_evals,
+        functools.partial(_objectives, problem),
+    )
     best = results[0]
     for res in results[1:]:
         if res.fun < best.fun:

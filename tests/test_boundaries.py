@@ -38,7 +38,7 @@ from ghznet.couplings import (
     star_to_delta,
 )
 from ghznet.dense import GlobalPhase, StateVector, all_zeros, basis_state
-from ghznet.optimizer import OptimizerConfig, problem_odd, sweep
+from ghznet.optimizer import OptimizationProblem, OptimizerConfig, problem_odd, sweep
 from ghznet.protocol import (
     ProtocolPlan,
     Pulse,
@@ -470,3 +470,37 @@ def test_problem_run_refuses_a_point_outside_the_box(column, value):
     params[column] = value
     with pytest.raises(ValueError, match="outside the problem bounds"):
         problem.run(params)
+
+
+PLAN_3 = compile_plan(3, 1.0, 0.05).per_qubit()
+
+
+@pytest.mark.parametrize(
+    "plan, free, angle_upper, message",
+    [
+        (
+            compile_plan(4, 1.0, 0.05).per_qubit(), (0,), math.pi,
+            "plan is for 4 qubits but graph has 3",
+        ),
+        (PLAN_3, (3,), math.pi, "distinct indices"),
+        (PLAN_3, (5,), math.pi, "distinct indices"),
+        (PLAN_3, (-1,), math.pi, "distinct indices"),
+        (PLAN_3, (0, 0), math.pi, "distinct indices"),
+        (PLAN_3, (1.0,), math.pi, "integer"),
+        (PLAN_3, (True,), math.pi, "integer"),
+        (PLAN_3, (0,), math.nan, "angle_upper"),
+        (PLAN_3, (0,), math.inf, "angle_upper"),
+        (PLAN_3, (0,), -1.0, "outside the box"),
+        (PLAN_3, (0, 1), 1.0, "outside the box"),
+    ],
+    ids=[
+        "counts", "index-past-end", "index-5", "index-negative", "index-twice",
+        "index-float", "index-bool", "upper-nan", "upper-inf", "upper-negative",
+        "upper-below-ideal",
+    ],
+)
+def test_problems_refuse_bad_inputs(plan, free, angle_upper, message):
+    # each used to be accepted, or to fail later with another error
+    graph = perturbed_n3(1.0, 0.02, 0.06, 0.05)
+    with pytest.raises(ValueError, match=message):
+        OptimizationProblem(graph, plan, free, angle_upper)

@@ -5,13 +5,14 @@ rewrite (the N = 8 and N = 10 files before the propagation paths were
 reduced to two, the N = 12 and N = 14 files before a real start was
 propagated on one row); the sweep CSV and the four-qubit optimizer
 results were written by the code before the objective was rebuilt on raw
-arrays; ``execute_bits.txt`` holds the sha256 of every ideal ``execute``
-state for N = 2..9 on both engines, written before ``execute`` rotated raw
-arrays; ``execute_bits_large.txt`` holds the same for the dense engine at
-N = 10..14, written before the Hamiltonian was filled into a cached
-per-N sparsity pattern; the eigenvalue table was written before ``ghznet
-optimize`` shared the sweep's row builder.  A change that keeps behaviour
-keeps every byte of them.
+arrays, and the two seed-9 sweeps before the multistart drew all its
+starts in one call; ``execute_bits.txt`` holds the sha256 of every ideal
+``execute`` state for N = 2..9 on both engines, written before ``execute``
+rotated raw arrays; ``execute_bits_large.txt`` holds the same for the
+dense engine at N = 10..14, written before the Hamiltonian was filled
+into a cached per-N sparsity pattern; the eigenvalue table was written
+before ``ghznet optimize`` shared the sweep's row builder.  A change that
+keeps behaviour keeps every byte of them.
 """
 
 import hashlib
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from ghznet.cli import EXIT_OK, main
+from ghznet.cli import EXIT_NUMERICAL, EXIT_OK, main
 from ghznet.couplings import ideal, perturbed_general
 from ghznet.optimizer import optimize, optimize_restricted_n4, problem_even_full
 from ghznet.protocol import compile_plan, execute
@@ -71,6 +72,23 @@ def test_sweep_default_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == (GOLDEN / "sweep_default.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "steps, extra, name, code, flagged",
+    [
+        (4, [], "sweep_eta13_0.3x4_r3_s9.csv", EXIT_OK, 0),
+        # 50 evaluations stop every row's best start before it converges
+        (7, ["--max-evals", "50"], "sweep_eta13_0.3x7_r3_s9_e50.csv", EXIT_NUMERICAL, 7),
+    ],
+)
+def test_sweep_seed_9_csv(steps, extra, name, code, flagged, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    grid = ["--eta13-stop", "0.3", "--eta13-steps", str(steps)]
+    argv = ["sweep", *grid, "--restarts", "3", "--seed", "9", *extra, "--out", str(out)]
+    assert main(argv) == code
+    assert capsys.readouterr().out.endswith(f" ({steps} rows, {flagged} flagged)\n")
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def n4_results_text() -> str:

@@ -314,11 +314,9 @@ class TestLockstepBits:
         x0s = optimizer._start_points(problem, OptimizerConfig(restarts=5, seed=maxfev))
         # one start on the NaN region's edge: its first simplex has a NaN vertex
         x0s[-1][0] = cut
-        searches = [
-            optimizer._nelder_mead(x0, problem.lower, problem.upper, 1e-8, 1e-10, maxfev)
-            for x0 in x0s
-        ]
-        results = optimizer._lockstep(searches, values)
+        results = optimizer._lockstep(
+            x0s, problem.lower, problem.upper, 1e-8, 1e-10, maxfev, values
+        )
         if kind == "nan" and maxfev > 3:
             assert sum(nan_rows) > 0
         bounds = list(zip(problem.lower, problem.upper))
@@ -353,7 +351,9 @@ class TestLockstepIndependence:
         # a zero width pins a coordinate; -0.0 + 0.0 gives a +0.0 upper bound
         upper = lower + vector(st.sampled_from([0.0, 0.5, 3.0]))
         centre = vector(st.floats(-1.0, 4.0))
-        x0s = [vector(st.sampled_from([0.0, -0.0]) | st.floats(-1.5, 4.0)) for _ in range(count)]
+        x0s = np.stack(
+            [vector(st.sampled_from([0.0, -0.0]) | st.floats(-1.5, 4.0)) for _ in range(count)]
+        )
 
         def values(rows):
             out = []
@@ -366,26 +366,16 @@ class TestLockstepIndependence:
                     out.append(np.nan if x[0] > centre[0] else value)
             return out
 
-        def search(x0):
-            return optimizer._nelder_mead(x0, lower, upper, 1e-8, 1e-10, maxfev)
+        def search(x0s):
+            return optimizer._lockstep(x0s, lower, upper, 1e-8, 1e-10, maxfev, values)
 
-        together = optimizer._lockstep([search(x0) for x0 in x0s], values)
+        together = search(x0s)
         for x0, ours in zip(x0s, together):
-            (alone,) = optimizer._lockstep([search(x0)], values)
+            (alone,) = search(x0[None])
             assert ours.x.tobytes() == alone.x.tobytes()
             assert np.float64(ours.fun).tobytes() == np.float64(alone.fun).tobytes()
             assert ours.nfev == alone.nfev
             assert ours.success == alone.success
-
-    def test_searches_must_share_box_tolerances_and_budget(self):
-        lower, upper = np.zeros(2), np.ones(2)
-        first = optimizer._nelder_mead([0.5, 0.5], lower, upper, 1e-8, 1e-10, 37)
-        for other in (
-            optimizer._nelder_mead([0.5, 0.5], lower, upper, 1e-8, 1e-10, 36),
-            optimizer._nelder_mead([0.5, 0.5], lower, 2 * upper, 1e-8, 1e-10, 37),
-        ):
-            with pytest.raises(ValueError, match="share"):
-                optimizer._lockstep([first, other], lambda rows: [0.0] * len(rows))
 
 
 class TestBatchKernels:
@@ -495,6 +485,29 @@ class TestMinimizeBookkeeping:
         block = np.stack([row(values) for _ in range(data.draw(st.integers(1, 9)))])
         want = np.stack([np.clip(x, lower, upper) for x in block])
         assert optimizer._clip(block, lower, upper).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "lower, upper, start",
+        [(-1.0, 0.0, -0.0), (0.0, 1.0, -0.0), (-0.0, 1.0, 0.0), (-1.0, -0.0, 0.0)],
+    )
+    def test_starts_are_clipped_as_one_row_each(self, lower, upper, start):
+        # with n = 1, np.clip of an (S, 1) block keeps -0.0 against a +0.0
+        # bound (and the reverse), where each row's own clip returns the bound
+        lower, upper = np.array([lower]), np.array([upper])
+        x0s = np.array([[start], [0.5], [start]])
+        want = np.stack([np.clip(x0, lower, upper) for x0 in x0s])
+        seen = []
+
+        def values(rows):
+            seen.append(np.array(rows))
+            return [0.0] * len(rows)
+
+        # with one evaluation each, the first call holds exactly the starts
+        optimizer.minimize(lambda x: values([x])[0], x0s[0], lower, upper, 1e-8, 1e-10, 1)
+        assert seen[0].tobytes() == want[:1].tobytes()
+        seen.clear()
+        optimizer._lockstep(x0s, lower, upper, 1e-8, 1e-10, 1, values)
+        assert seen[0].tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
