@@ -132,14 +132,23 @@ def apply_rotation(state: StateVector, k: int, axis: str, angle: float) -> State
     return StateVector(n, rotate_amplitudes(state.amplitudes, n, k, u))
 
 
+def rotate_pulses(amplitudes: np.ndarray, n: int, qubits: list, us: list) -> np.ndarray:
+    """Rotate a raw 2^n amplitude vector, or each row of a ``(K, 2^n)``
+    block, by pulses in order: pulse i by the 2x2 matrix ``us[i]``, or by
+    the ``(K, 2, 2)`` stack ``us[i]``, one matrix per row, on the 1-based
+    qubit ``qubits[i]``, or on qubits 1..n in ascending order when it is
+    None.  No bounds check: callers validate the qubits."""
+    for q, u in zip(qubits, us):
+        for k in range(1, n + 1) if q is None else (q,):
+            amplitudes = rotate_amplitudes(amplitudes, n, k, u)
+    return amplitudes
+
+
 def apply_collective_rotation(state: StateVector, axis: str, angle: float) -> StateVector:
     """Same rotation on every qubit, qubits in ascending order."""
     n = state.n_qubits
     u = single_qubit_rotation(axis, angle)
-    amps = state.amplitudes
-    for k in range(1, n + 1):
-        amps = rotate_amplitudes(amps, n, k, u)
-    return StateVector(n, amps)
+    return StateVector(n, rotate_pulses(state.amplitudes, n, [None], [u]))
 
 
 def fidelity_frobenius(psi: StateVector, target: StateVector, align_phase: bool) -> float:
@@ -176,9 +185,10 @@ def phase_aligned(a: np.ndarray, target: np.ndarray) -> np.ndarray:
     such phase (zero or NaN overlap) is returned unchanged."""
     # np.vdot's conjugated dot, with its bits, one per row
     ov = target.conj() @ a[..., None]
-    # each modulus from Python's abs, which rounds as numpy's scalar abs;
-    # the array abs rounds otherwise
-    r = np.array([abs(o) for o in ov.ravel().tolist()]).reshape(ov.shape)
+    # each modulus as Python's abs rounds it (the array abs rounds
+    # otherwise); an overflowing one raises, as abs does
+    with np.errstate(over="raise"):
+        r = np.hypot(ov.real, ov.imag)
     live = r > 0
     if live.all():
         return a * (ov.conjugate() / r)

@@ -20,16 +20,16 @@ strong-ZZ correction, keeps its compiled value.  Three families:
 
 A problem is built once per graph and holds everything an evaluation
 does not change: the graph's propagator with the prepared state already
-in its eigenbasis, the 2x2 matrix of each final pulse at its compiled
-angle, the GHZ target amplitudes and the conjugated expected phase.  An
-evaluation takes a block of K parameter rows at once: it propagates the
-prepared state for the K trial times, builds the free pulses' matrices
-at the trial angles (one call per axis), rotates the raw amplitudes with
-:func:`~ghznet.protocol.rotate_pulses`, strips the expected phase and
-takes each row's phase-aligned Frobenius distance to the target.  Every
-kernel keeps one product per row, so each row goes through the
-floating-point operations, in order, of running ``plan_for``'s plan
-through :func:`~ghznet.protocol.execute` and
+in its eigenbasis, the qubit of each final pulse and its 2x2 matrix at
+the compiled angle, the GHZ target amplitudes and the conjugated
+expected phase.  An evaluation takes a block of K parameter rows at
+once: it propagates the prepared state for the K trial times, builds the
+free pulses' matrices at the trial angles (one call per axis), rotates
+the raw amplitudes with :func:`~ghznet.dense.rotate_pulses`, strips the
+expected phase and takes each row's phase-aligned Frobenius distance to
+the target.  Every kernel keeps one product per row, so each row goes
+through the floating-point operations, in order, of running
+``plan_for``'s plan through :func:`~ghznet.protocol.execute` and
 :func:`~ghznet.dense.fidelity_frobenius`, and the results agree bit for
 bit; :func:`objective` is the one-row case.
 
@@ -57,15 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .couplings import CouplingGraph, check_integer, check_real, perturbed_n3
-from .dense import StateVector, fidelity_frobenius_raw, single_qubit_rotation
-from .protocol import (
-    HamiltonianPropagator,
-    ProtocolPlan,
-    Pulse,
-    compile_plan,
-    ghz_target,
-    rotate_pulses,
-)
+from .dense import StateVector, fidelity_frobenius_raw, rotate_pulses, single_qubit_rotation
+from .protocol import HamiltonianPropagator, ProtocolPlan, Pulse, compile_plan, ghz_target
 
 SWEEP_COLUMNS = ("eta13", "t_ratio", "alpha1", "alpha2", "alpha3", "F_opt", "F_uncorrected")
 
@@ -114,6 +107,7 @@ class OptimizationProblem:
         self._propagator = HamiltonianPropagator(graph)
         # the 2x2 matrix of each pulse in plan.finals at its compiled angle
         self._matrices = [single_qubit_rotation(p.axis, p.angle) for p in plan.finals]
+        self._qubits = [p.qubit for p in plan.finals]
         # the free pulses' parameter columns, grouped by axis
         self._free_columns = {}
         for col, i in enumerate(free, 1):
@@ -146,7 +140,6 @@ class OptimizationProblem:
         # "not inside the box", so that NaN (never inside) is refused too
         if not ((self.lower <= rows) & (rows <= self.upper)).all():
             raise ValueError("parameters outside the problem bounds")
-        finals = self.plan.finals
         us = list(self._matrices)
         # one call per axis builds that axis's free matrices for every row
         for axis, cols in self._free_columns.items():
@@ -154,7 +147,7 @@ class OptimizationProblem:
             for j, col in enumerate(cols):
                 us[self.free[col - 1]] = matrices[:, j]
         amps = self._propagator.propagate(rows[:, 0])
-        amps = rotate_pulses(amps, self.n_qubits, finals, us)
+        amps = rotate_pulses(amps, self.n_qubits, self._qubits, us)
         return amps * self._phase_conj
 
 
@@ -447,10 +440,8 @@ def optimize(
         1e-8, config.tolerance, config.max_evals,
         functools.partial(_objectives, problem),
     )
-    best = results[0]
-    for res in results[1:]:
-        if res.fun < best.fun:
-            best = res
+    # min keeps the first of equal values: the lowest start index wins ties
+    best = min(results, key=lambda res: res.fun)
     return OptimizationResult(
         t_opt=float(best.x[0]),
         angles_opt=np.array(best.x[1:], dtype=float),

@@ -12,10 +12,11 @@ global phase.  Correcting imperfect couplings changes only t and some
 final angles, never the shape.
 
 Both engines read the plan directly: the dense engine simulates the full
-2^N statevector, applying the final pulses with :func:`rotate_pulses`; the
-symmetric engine runs the plan in the (N+1)-dimensional W basis up to its
-first single-qubit pulse.  To return a state (N <= 14) it embeds that and
-applies the rest with :func:`rotate_pulses` too; to verify a plan
+2^N statevector, applying the final pulses with
+:func:`~ghznet.dense.rotate_pulses`, the one loop that applies pulses to a
+dense state; the symmetric engine runs the plan in the (N+1)-dimensional
+W basis up to its first single-qubit pulse.  To return a state (N <= 14)
+it embeds that and applies the rest with the same loop; to verify a plan
 at any N it requires the rest to be z rotations, which are diagonal on
 |0...0> and |1...1>, and applies their inverse to the GHZ target instead.
 
@@ -56,7 +57,7 @@ from .dense import (
     apply_collective_rotation,
     fidelity_frobenius_raw,
     global_phase_between_raw,
-    rotate_amplitudes,
+    rotate_pulses,
     single_qubit_rotation,
 )
 from .symmetric import (
@@ -295,15 +296,19 @@ class HamiltonianPropagator:
         return self._rates is not None
 
     def propagate(self, t) -> np.ndarray:
-        """e^{-iHt} applied to :data:`PREPARATION` |0...0>; for a 1-D array
-        of K times, the ``(K, 2^N)`` block of those states, each row equal
-        to the state for its time alone."""
+        """e^{-iHt} applied to :data:`PREPARATION` |0...0>; for an array (or
+        list) of times, an array of those states, of shape ``t.shape +
+        (2^N,)``, each equal to the state for its time alone.  A time that
+        is not finite raises ``ValueError``."""
+        t = np.asarray(t, dtype=float)
+        if not np.isfinite(t).all():
+            raise ValueError(f"propagation times must be finite, got {t}")
         if self._rates is not None:
             # per row, one matrix-vector product, as for a single time (one
             # product over all K columns would round otherwise)
-            phased = np.exp(self._rates * np.asarray(t)[..., None]) * self._start
+            phased = np.exp(self._rates * t[..., None]) * self._start
             return (self._eigvecs @ phased[..., None])[..., 0]
-        rt = self._radius * np.asarray(t)
+        rt = self._radius * t
         if not np.all(np.abs(rt) <= MAX_CHEBYSHEV_ORDER):
             raise PropagationError(
                 f"e^(-iHt) at N = {self.n_qubits} needs a Chebyshev expansion of "
@@ -317,33 +322,21 @@ class HamiltonianPropagator:
             # scipy's multi-vector CSR kernel is slower than single-vector ones
             return np.array([h @ row for row in v])
 
-        def expand(time: float) -> np.ndarray:
-            return chebyshev_propagate(matvec, self._centre, self._radius, self._start, time)
-
         # one expansion per time: each one's length depends on its time
-        return np.array([expand(time) for time in t.tolist()]) if np.ndim(t) else expand(t)
+        out = [
+            chebyshev_propagate(matvec, self._centre, self._radius, self._start, time)
+            for time in t.reshape(-1).tolist()
+        ]
+        return np.array(out, dtype=complex).reshape(t.shape + (1 << self.n_qubits,))
 
 
 def _prepared(n: int) -> np.ndarray:
     """Amplitudes of :data:`PREPARATION` applied to |0...0>."""
-    # not rotate_pulses: perfbench's dense.rotation layer records this call,
-    # and tests/test_bench_contract.py checks that it is reached
+    # through apply_collective_rotation, the wrapper of rotate_pulses:
+    # perfbench's dense.rotation layer records this call, and
+    # tests/test_bench_contract.py checks that it is reached
     psi = apply_collective_rotation(all_zeros(n), PREPARATION.axis, PREPARATION.angle)
     return psi.amplitudes
-
-
-def rotate_pulses(
-    amplitudes: np.ndarray, n: int, pulses: tuple[Pulse, ...], us: list[np.ndarray]
-) -> np.ndarray:
-    """Rotate a raw 2^n amplitude vector, or each row of a ``(K, 2^n)``
-    block, by ``pulses`` in order, pulse i by the 2x2 matrix ``us[i]`` or
-    by the ``(K, 2, 2)`` stack ``us[i]``, one matrix per row; a collective
-    pulse rotates qubits 1..n in ascending order.  :class:`ProtocolPlan`
-    checks the qubits."""
-    for p, u in zip(pulses, us):
-        for k in range(1, n + 1) if p.qubit is None else (p.qubit,):
-            amplitudes = rotate_amplitudes(amplitudes, n, k, u)
-    return amplitudes
 
 
 def _run_w_basis(
@@ -394,7 +387,7 @@ def execute(
     n = plan.n_qubits
     if graph.n_qubits != n:
         raise ValueError(f"plan is for {n} qubits but graph has {graph.n_qubits}")
-    _check_dense_engine(n)
+    _check_engine(engine, n)
     if engine == "dense":
         amps = HamiltonianPropagator(graph).propagate(plan.entangle_duration)
         pulses = plan.finals
@@ -405,10 +398,8 @@ def execute(
             )
         w, pulses = _run_w_basis(plan, graph.g_ref, graph.gz_ref)
         amps = embed(w).amplitudes
-    else:
-        raise ValueError(f"engine must be 'dense' or 'symmetric', got {engine!r}")
     us = [single_qubit_rotation(p.axis, p.angle) for p in pulses]
-    return StateVector(n, rotate_pulses(amps, n, pulses, us))
+    return StateVector(n, rotate_pulses(amps, n, [p.qubit for p in pulses], us))
 
 
 def verify(
@@ -427,14 +418,17 @@ def verify(
         w, rest = _run_w_basis(plan, g, gz)
         psi, target = w.coeffs, _pulled_back_ghz(n, rest)
     else:
-        _check_dense_engine(n)  # before building C(N,2) pairs for nothing
+        _check_engine(engine, n)  # before building C(N,2) pairs for nothing
         psi = execute(plan, ideal(n, g, gz), engine=engine).amplitudes
         target = ghz_target(n).state.amplitudes
     fid = fidelity_frobenius_raw(psi, target, align_phase=True)
     return fid, global_phase_between_raw(psi, target)
 
 
-def _check_dense_engine(n: int) -> None:
+def _check_engine(engine: str, n: int) -> None:
+    """Refuse an unknown engine name, then a state too large to be dense."""
+    if engine not in ("dense", "symmetric"):
+        raise ValueError(f"engine must be 'dense' or 'symmetric', got {engine!r}")
     if n > MAX_DENSE_QUBITS:
         raise EngineCapabilityError(
             f"execute returns a dense state, limited to {MAX_DENSE_QUBITS} qubits, got {n}"

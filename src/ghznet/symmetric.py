@@ -26,6 +26,7 @@ by ``sum_k X_k``, ``sum_k Y_k`` and ``sum_k Z_k``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +107,7 @@ def raising_coefficients(n: int) -> np.ndarray:
 def entangle_phases(state: WBasisState, lam: np.ndarray, t: float) -> WBasisState:
     """Free evolution in the W basis: coeff_j -> exp(-i lambda_j t) coeff_j,
     with ``lam`` the N+1 eigenvalues of :func:`analytic_eigenvalues`."""
+    t = check_real(t, "t")
     if len(lam) != state.n_qubits + 1:
         raise ValueError(
             f"{len(lam)} eigenvalues for a {state.n_qubits}-qubit W-basis state"
@@ -136,11 +138,15 @@ def collective_rotation(state: WBasisState, axis: str, angle: float) -> WBasisSt
 
     Agrees with applying the same single-qubit rotation (rotation
     convention) to every qubit of the embedded dense state.  An x or y
-    rotation is a Chebyshev expansion of about N|angle|/2 tridiagonal
-    products; z is diagonal.
+    rotation is a Chebyshev expansion of about N|a|/2 tridiagonal
+    products, with a the angle reduced to [-2 pi, 2 pi] (Sigma_axis has
+    integer eigenvalues, so the rotation has period 4 pi; an angle
+    already in that range is kept as it is); z is diagonal.  A non-finite
+    angle raises ``ValueError``.
     """
     n = state.n_qubits
     c = state.coeffs
+    angle = check_real(angle, "angle")
     if axis == "z":
         # standard z per qubit sums to N - 2j on |W_j>
         j = np.arange(n + 1, dtype=float)
@@ -151,7 +157,8 @@ def collective_rotation(state: WBasisState, axis: str, angle: float) -> WBasisSt
         # y generator = D^dag X D with D = diag(i^-j)
         d = _I_POWERS[np.arange(n + 1) % 4]
         c = d * c
-    out = chebyshev_propagate(_x_generator(n), 0.0, n, c, angle / 2)
+    half = math.remainder(angle, 4 * math.pi) / 2
+    out = chebyshev_propagate(_x_generator(n), 0.0, n, c, half)
     if axis == "y":
         out = d.conjugate() * out
     return WBasisState(n, out)

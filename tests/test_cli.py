@@ -266,6 +266,12 @@ class TestCommands:
         assert main(["protocol", "--n", "3", "--engine", "sparse"]) == EXIT_INPUT
         assert capsys.readouterr().out == ""
 
+    def test_protocol_unknown_engine_named_beyond_the_dense_cap(self, capsys):
+        assert main(["protocol", "--n", "15", "--engine", "bogus"]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: engine must be 'dense' or 'symmetric', got 'bogus'\n"
+
     def test_flag_prefix_is_not_a_key(self, capsys):
         # --g is a prefix of --g12 but no key of sweep
         assert main(["sweep", "--g", "1"]) == EXIT_INPUT

@@ -16,7 +16,9 @@ from ghznet.dense import (
     fidelity_frobenius,
     fidelity_frobenius_raw,
     global_phase_between_raw,
+    phase_aligned,
     rotate_amplitudes,
+    rotate_pulses,
     single_qubit_rotation,
 )
 from reference import DenseOperator, evolve, pauli_on, rotation_matrix, rotation_on
@@ -148,6 +150,114 @@ class TestRotationKernel:
         for k in (0, 4):
             with pytest.raises(ValueError, match="out of range"):
                 apply_rotation(psi, k, "x", 0.3)
+
+
+def _pulse_steps(n, qubits, us):
+    """The pulses as (qubit, matrix) steps, a collective pulse as n steps."""
+    return [(k, u) for q, u in zip(qubits, us) for k in (range(1, n + 1) if q is None else [q])]
+
+
+@st.composite
+def pulse_blocks(draw):
+    """n, a state or a (K, 2^n) block, and pulses whose matrices are (2, 2)
+    or, for a block, may be (K, 2, 2) stacks."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.one_of(st.none(), st.integers(1, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (1 << n,) if k is None else (k, 1 << n)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    qubits = draw(st.lists(st.sampled_from([None, *range(1, n + 1)]), max_size=5))
+    us = []
+    for _ in qubits:
+        stacked = k is not None and draw(st.booleans())
+        size = (k, 2, 2) if stacked else (2, 2)
+        us.append(rng.normal(size=size) + 1j * rng.normal(size=size))
+    return n, amps, qubits, us
+
+
+class TestRotatePulses:
+    @settings(max_examples=80, deadline=None)
+    @given(case=pulse_blocks())
+    def test_bytes_equal_a_rotate_amplitudes_loop(self, case):
+        n, amps, qubits, us = case
+        want = amps
+        for k, u in _pulse_steps(n, qubits, us):
+            want = rotate_amplitudes(want, n, k, u)
+        assert rotate_pulses(amps, n, qubits, us).tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=pulse_blocks())
+    def test_block_rows_equal_their_own_runs(self, case):
+        n, amps, qubits, us = case
+        if amps.ndim == 1:
+            return
+        block = rotate_pulses(amps, n, qubits, us)
+        for i, row in enumerate(amps):
+            row_us = [u if u.ndim == 2 else u[i] for u in us]
+            assert block[i].tobytes() == rotate_pulses(row, n, qubits, row_us).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        axis=st.sampled_from("xyz"),
+        angle=st.floats(-4 * np.pi, 4 * np.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_collective_rotation_is_one_collective_pulse(self, n, axis, angle, seed):
+        psi = random_state(n, np.random.default_rng(seed))
+        u = single_qubit_rotation(axis, angle)
+        got = apply_collective_rotation(psi, axis, angle).amplitudes
+        assert got.tobytes() == rotate_pulses(psi.amplitudes, n, [None], [u]).tobytes()
+
+
+def _aligned_alone(row, target):
+    """One row times its unit phase, with np.vdot and the scalar abs."""
+    v = np.vdot(target, row)
+    return row * (v.conjugate() / abs(v))
+
+
+class TestPhaseAligned:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        exponents=st.lists(st.integers(-310, 300), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_their_own_alignment(self, n, exponents, seed):
+        rng = np.random.default_rng(seed)
+        d = 1 << n
+        target = random_state(n, rng).amplitudes
+        scales = np.array([10.0**e for e in exponents])[:, None]
+        block = scales * (rng.normal(size=(len(scales), d)) + 1j * rng.normal(size=(len(scales), d)))
+        # below |v| ~ 5.6e-309 the unit phase's 1/|v| overflows, in the
+        # row's own alignment too (a fault of its own); the rows still agree
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = phase_aligned(block, target)
+            for row, out in zip(block, got):
+                assert out.tobytes() == _aligned_alone(row, target).tobytes()
+                assert phase_aligned(row, target).tobytes() == out.tobytes()
+
+    def test_rows_without_a_phase_come_back_unchanged(self):
+        target = basis_state(2, "00").amplitudes
+        live = np.array([0.6, 0.0, 0.0, 0.8j])
+        block = np.array([
+            live,
+            np.zeros(4, dtype=complex),  # zero overlap: a zero state
+            basis_state(2, "01").amplitudes,  # zero overlap: orthogonal
+            np.full(4, np.nan + 0j),  # NaN overlap
+        ])
+        got = phase_aligned(block, target)
+        assert got[0].tobytes() == _aligned_alone(live, target).tobytes()
+        for row, out in zip(block[1:], got[1:]):
+            assert out.tobytes() == row.tobytes()
+
+    def test_overflowing_modulus_raises(self):
+        # |<target|a>| = 1.5e308 sqrt(2) is beyond the float range
+        target = basis_state(1, "0").amplitudes
+        a = np.array([1.5e308 + 1.5e308j, 0.0])
+        for state in (a, np.array([a, target])):
+            with pytest.raises(ArithmeticError):
+                phase_aligned(state, target)
 
 
 class TestRotationMatrix:

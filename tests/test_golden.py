@@ -3,7 +3,8 @@
 The protocol files were written by the code before the pulse-plan
 rewrite (the N = 8 and N = 10 files before the propagation paths were
 reduced to two, the N = 12 and N = 14 files before a real start was
-propagated on one row); the sweep CSV and the four-qubit optimizer
+propagated on one row, the N = 2, 3, 7 and 1001 files before the pulse
+loop moved into ``ghznet.dense``); the sweep CSV and the four-qubit optimizer
 results were written by the code before the objective was rebuilt on raw
 arrays, and the two seed-9 sweeps before the multistart drew all its
 starts in one call; ``execute_bits.txt`` holds the sha256 of every ideal
@@ -49,6 +50,18 @@ N4_MULTIPLIERS = {
         # the largest dense runs: odd, and the strong-ZZ even family
         (["--n", "14", "--g", "1", "--gz", "0.05"], "protocol_n14_g1_gz0.05.txt"),
         (["--n", "12", "--g", "0.5", "--gz", "1"], "protocol_n12_g0.5_gz1.txt"),
+        # N = 2, 3 and 7 on both engines, at the default couplings and in
+        # the strong-ZZ family, and the symmetric engine far past the cap
+        *[
+            ([*argv, *engine], f"protocol_n{n}_{tag}{suffix}.txt")
+            for n in (2, 3, 7)
+            for argv, tag in (
+                (["--n", str(n)], "g1_gz0"),
+                (["--n", str(n), "--g", "0.5", "--gz", "1"], "g0.5_gz1"),
+            )
+            for engine, suffix in (([], ""), (["--engine", "symmetric"], "_symmetric"))
+        ],
+        (["--n", "1001", "--engine", "symmetric"], "protocol_n1001_g1_gz0_symmetric.txt"),
     ],
 )
 def test_protocol_stdout(argv, name, capsys):

@@ -257,6 +257,14 @@ class TestExecuteAndVerify:
             verify(2000, 1.0, 0.05)
         assert verify(4, 1.0, 0.05)[0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n", [3, 15])
+    def test_unknown_engine_named_before_the_dense_cap(self, n):
+        plan = compile_plan(n, 1.0, 0.05)
+        with pytest.raises(ValueError, match="engine must be 'dense' or 'symmetric', got 'bogus'"):
+            execute(plan, ideal(n, 1.0, 0.05), engine="bogus")
+        with pytest.raises(ValueError, match="engine must be 'dense' or 'symmetric', got 'bogus'"):
+            verify(n, 1.0, 0.05, engine="bogus")
+
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError):
             execute(compile_plan(3, 1, 0), ideal(4, 1, 0))
@@ -386,6 +394,37 @@ class TestChebyshevPropagation:
         prop = HamiltonianPropagator(ideal(7, 1.0, 0.05))
         with pytest.raises(PropagationError):
             prop.propagate(1.0)
+
+
+class TestPropagateTimes:
+    """Both paths take a time, a list or an array of times alike, and
+    refuse a time that is not finite."""
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_list_and_array_times_match_single_times(self, n):
+        prop = HamiltonianPropagator(ideal(n, 1.0, 0.05))
+        times = [0.3, 1.7]
+        alone = [prop.propagate(t) for t in times]
+        got = prop.propagate(times)
+        assert got.shape == (2, 1 << n)
+        for row, want in zip(got, alone):
+            assert row.tobytes() == want.tobytes()
+        grid = prop.propagate(np.array([[0.3], [1.7]]))
+        assert grid.shape == (2, 1, 1 << n)
+        assert grid[:, 0].tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_no_times_give_an_empty_block(self, n):
+        prop = HamiltonianPropagator(ideal(n, 1.0, 0.05))
+        assert prop.propagate(np.empty(0)).shape == (0, 1 << n)
+
+    @pytest.mark.parametrize("n", [4, 7])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_refused(self, n, bad):
+        prop = HamiltonianPropagator(ideal(n, 1.0, 0.05))
+        for t in (bad, [0.3, bad]):
+            with pytest.raises(ValueError, match="finite"):
+                prop.propagate(t)
 
 
 class TestScaledHamiltonian:

@@ -1,5 +1,7 @@
 """W-basis engine tests: ladder algebra, eigenvalues, rotations, embeddings."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,12 @@ class TestEntanglePhases:
         overlap = np.vdot(c, out.coeffs)
         assert abs(abs(overlap) - 1) <= 1e-12
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_refused(self, t):
+        w = WBasisState(4, np.full(5, 1 / np.sqrt(5), dtype=complex))
+        with pytest.raises(ValueError, match="t must be a finite real number"):
+            entangle_phases(w, analytic_eigenvalues(4, 1, 0.1), t)
+
     def test_eigenvalue_count_mismatch_rejected(self):
         w = WBasisState(4, np.full(5, 1 / np.sqrt(5), dtype=complex))
         with pytest.raises(ValueError):
@@ -247,6 +255,27 @@ class TestCollectiveRotation:
         w = random_w_state(np.random.default_rng(2), 50)
         with pytest.raises(PropagationError):
             collective_rotation(w, "x", np.pi / 2)
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    @pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan])
+    def test_non_finite_angle_refused(self, axis, angle):
+        with pytest.raises(ValueError, match="angle must be a finite real number"):
+            collective_rotation(random_w_state(np.random.default_rng(5), 5), axis, angle)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize(
+        "n, angle",
+        # 1e300 would need an expansion of ~N * 1e300 / 2 terms unreduced
+        [(5, 1e300), (5, -1e300), (11, np.pi / 2 + 4 * np.pi * 1000), (3, 0.3 - 4 * np.pi * 7)],
+    )
+    def test_angle_reduced_modulo_4pi(self, n, axis, angle):
+        # Sigma_axis has integer eigenvalues, so the rotation has period 4 pi
+        w = random_w_state(np.random.default_rng(n), n)
+        reduced = math.remainder(angle, 4 * math.pi)
+        assert abs(reduced) <= 2 * math.pi
+        got = collective_rotation(w, axis, angle).coeffs
+        assert got.tobytes() == collective_rotation(w, axis, reduced).coeffs.tobytes()
+        assert np.max(np.abs(got - reference_rotation(w, axis, reduced))) <= 1e-12
 
     def test_large_n_unitary(self):
         n = 2000
