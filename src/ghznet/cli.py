@@ -42,7 +42,7 @@ from .optimizer import (
     sweep,
     write_sweep_csv,
 )
-from .protocol import compile_plan, ghz_target, verify
+from .protocol import _verify_plan, compile_plan, ghz_target
 from .symmetric import WBasisState, analytic_eigenvalues, embed
 
 EXIT_OK = 0
@@ -172,7 +172,7 @@ def cmd_protocol(cfg: dict) -> int:
         raise ConfigError(f"report_mhz must be >= 0 (0 = off), got {cfg['report_mhz']}")
     plan = compile_plan(n, g, gz)
     # run first, so a rejected engine or a failed run prints no plan
-    fid, measured = verify(n, g, gz, cfg["engine"])
+    fid, measured = _verify_plan(plan, g, gz, cfg["engine"])
     print(json.dumps(plan.to_dict(), indent=2))
     expected = plan.expected_phase.phase
     print(f"fidelity {fid:.6f}")

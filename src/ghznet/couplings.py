@@ -154,12 +154,6 @@ def perturbed_general(
     return CouplingGraph(n, xy, zz, g_ref, gz_ref)
 
 
-def _bit_arrays(n: int) -> list[np.ndarray]:
-    """bits[k-1][i] = bit of qubit k (1-based, most significant first) in index i."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    return [(idx >> (n - k)) & 1 for k in range(1, n + 1)]
-
-
 class _ExchangePattern(NamedTuple):
     """Canonical CSR positions of the exchange Hamiltonian on n qubits."""
 
@@ -167,6 +161,7 @@ class _ExchangePattern(NamedTuple):
     indices: np.ndarray  # int32 column of each entry
     slot: np.ndarray  # each entry's pair in _all_pairs(n) order; len(pairs) on the diagonal
     diagonal: np.ndarray  # position of each row's diagonal entry
+    signs: np.ndarray  # int8 (n, 2^n): row k-1 is +1 where qubit k is set, else -1
 
 
 # one pattern per qubit count 2..14, the range a dense state covers
@@ -179,12 +174,16 @@ def _exchange_pattern(n: int) -> _ExchangePattern:
     it (a down move), and back from that column's row to d above (an up
     move).  The d are distinct, so rows list their down moves by d
     descending, then the diagonal, then their up moves by d ascending, and
-    come out in ascending column order with nothing to sort.  The arrays
-    are read-only: :func:`to_sparse` copies what it hands out.
+    come out in ascending column order with nothing to sort.  Qubit k is
+    bit n - k of an index (qubit 1 the most significant); ``signs`` holds
+    it as +1 (set) or -1 (clear), for the masks here and the ZZ diagonal
+    of :func:`to_sparse`.  The arrays are read-only: :func:`to_sparse`
+    copies what it hands out.
     """
     pairs = _all_pairs(n)
     npairs = len(pairs)
-    is_set = [b == 1 for b in _bit_arrays(n)]
+    shifts = np.arange(n - 1, -1, -1)[:, None]
+    signs = (2 * ((np.arange(1 << n) >> shifts) & 1) - 1).astype(np.int8)
     d = np.array([(1 << (n - l)) - (1 << (n - k)) for l, k in pairs])
     up = np.argsort(d)
     down = up[::-1]
@@ -193,11 +192,11 @@ def _exchange_pattern(n: int) -> _ExchangePattern:
     present = np.empty((2 * npairs + 1, 1 << n), dtype=bool)
     for j, p in enumerate(down):
         l, k = pairs[p]
-        np.greater(is_set[l - 1], is_set[k - 1], out=present[j])
+        np.greater(signs[l - 1], signs[k - 1], out=present[j])
     present[npairs] = True
     for j, p in enumerate(up, npairs + 1):
         l, k = pairs[p]
-        np.less(is_set[l - 1], is_set[k - 1], out=present[j])
+        np.less(signs[l - 1], signs[k - 1], out=present[j])
     counts = present.sum(axis=0)
     indptr = np.zeros((1 << n) + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
@@ -210,6 +209,7 @@ def _exchange_pattern(n: int) -> _ExchangePattern:
         indices=rows + offset[kind],
         slot=slot[kind],
         diagonal=np.flatnonzero(kind == npairs),
+        signs=signs,
     )
     for a in pattern:
         a.setflags(write=False)
@@ -226,24 +226,19 @@ def to_sparse(graph: CouplingGraph) -> csr_matrix:
 
     The matrix is in canonical format and keeps explicit zeros (a zero
     coupling still has its entries).  Its positions depend on N alone and
-    are built once per N and cached: 0.2 MB for all of N = 2..10, then
-    0.3, 0.7, 1.7 and 4.0 MB at N = 11, 12, 13 and 14, 7.0 MB for all of
-    N = 2..14.  The matrix owns its arrays, so a caller may modify it.
+    are built once per N and cached, with the int8 qubit signs of its ZZ
+    diagonal: 0.2 MB for all of N = 2..10, then 0.3, 0.8, 1.8 and 4.2 MB
+    at N = 11, 12, 13 and 14, 7.5 MB for all of N = 2..14.  The matrix
+    owns its arrays, so a caller may modify it.
     """
     n = check_dense_qubit_count(graph.n_qubits)
     dim = 1 << n
-    # +1 where the qubit is set, -1 where it is clear; made in place, as
-    # holding the bits and the signs at once raises the peak memory
-    signs = _bit_arrays(n)
-    for s in signs:
-        s *= 2
-        s -= 1
-
+    pattern = _exchange_pattern(n)
+    signs = pattern.signs
     diag = np.zeros(dim)
     for (l, k), gz in graph.zz.items():
         diag += 0.5 * gz * signs[l - 1] * signs[k - 1]
 
-    pattern = _exchange_pattern(n)
     values = np.array([graph.xy[p] for p in _all_pairs(n)] + [0.0], dtype=float)
     data = values[pattern.slot]
     data[pattern.diagonal] = diag

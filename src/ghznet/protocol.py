@@ -412,7 +412,14 @@ def verify(
     The dense engine is limited to N <= 14; the symmetric engine runs both
     parities in the W basis, with 1 - F growing as N^2 (2e-8 at N = 30001).
     """
-    plan = compile_plan(n, g, gz)
+    return _verify_plan(compile_plan(n, g, gz), g, gz, engine)
+
+
+def _verify_plan(
+    plan: ProtocolPlan, g: float, gz: float, engine: str
+) -> tuple[float, GlobalPhase]:
+    """:func:`verify` on ``plan = compile_plan(n, g, gz)``, compiled by the
+    caller (``ghznet protocol`` prints the plan it runs)."""
     n = plan.n_qubits
     if engine == "symmetric":
         w, rest = _run_w_basis(plan, g, gz)

@@ -90,12 +90,8 @@ def _eigenvalue(j, n: int, g: float, gz: float):
 
 
 def popcounts(n: int) -> np.ndarray:
-    """Popcount of every index 0..2^n - 1."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    pop = np.zeros(1 << n, dtype=np.int64)
-    for b in range(n):
-        pop += (idx >> b) & 1
-    return pop
+    """Popcount of every index 0..2^n - 1, as int64."""
+    return np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.int64)
 
 
 def raising_coefficients(n: int) -> np.ndarray:

@@ -17,15 +17,9 @@ import numpy as np
 
 from scipy.sparse import csr_matrix
 
-from ghznet.couplings import MAX_DENSE_QUBITS, CouplingGraph, _bit_arrays, to_sparse
+from ghznet.couplings import MAX_DENSE_QUBITS, CouplingGraph, to_sparse
 from ghznet.dense import StateVector, single_qubit_rotation
-from ghznet.symmetric import (
-    WBasisState,
-    binomial_row,
-    embed,
-    popcounts,
-    raising_coefficients,
-)
+from ghznet.symmetric import WBasisState, binomial_row, embed, raising_coefficients
 
 HERMITIAN_ATOL = 1e-12
 
@@ -125,6 +119,17 @@ def to_dense(graph: CouplingGraph) -> DenseOperator:
     return DenseOperator(1 << graph.n_qubits, to_sparse(graph).toarray(), hermitian=True)
 
 
+def qubit_bits(n: int) -> list[np.ndarray]:
+    """bits[k-1][i] = bit of qubit k (1-based, most significant first) in index i."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    return [(idx >> (n - k)) & 1 for k in range(1, n + 1)]
+
+
+def excitation_counts(n: int) -> np.ndarray:
+    """Number of qubits set in each index 0..2^n - 1, as int64."""
+    return sum(qubit_bits(n))
+
+
 def to_sparse_coo(graph: CouplingGraph) -> csr_matrix:
     """Sparse float64 CSR matrix of the exchange Hamiltonian.
 
@@ -136,7 +141,7 @@ def to_sparse_coo(graph: CouplingGraph) -> csr_matrix:
     n = graph.n_qubits
     dim = 1 << n
     idx = np.arange(dim, dtype=np.int64)
-    bits = _bit_arrays(n)
+    bits = qubit_bits(n)
 
     diag = np.zeros(dim)
     for (l, k), gz in graph.zz.items():
@@ -168,7 +173,7 @@ def w_state_dense(n: int, j: int) -> StateVector:
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense W state limited to n <= {MAX_DENSE_QUBITS}")
     idx = np.arange(1 << n)
-    pop = popcounts(n)
+    pop = excitation_counts(n)
     amps = np.zeros(1 << n, dtype=complex)
     sel = idx[pop == j]
     amps[sel] = 1.0 / np.sqrt(len(sel))
@@ -198,7 +203,7 @@ def ladder_apply(state: WBasisState, which: str) -> WBasisState:
 def project(state: StateVector) -> tuple[WBasisState, float]:
     """W-basis coefficients <W_j|psi> and the norm outside the symmetric subspace."""
     n = state.n_qubits
-    pop = popcounts(n)
+    pop = excitation_counts(n)
     sums = np.zeros(n + 1, dtype=complex)
     np.add.at(sums, pop, state.amplitudes)
     coeffs = sums / np.sqrt(binomial_row(n))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghznet import cli, protocol
 from ghznet.cli import (
     ConfigError,
     EXIT_INPUT,
@@ -261,6 +262,18 @@ class TestCommands:
     def test_protocol_non_finite_coupling_is_input_error(self, argv, capsys):
         assert main(["protocol", *argv]) == EXIT_INPUT
         assert capsys.readouterr().out == ""
+
+    def test_protocol_compiles_its_plan_once(self, monkeypatch, capsys):
+        calls, compile_plan = [], protocol.compile_plan
+
+        def counted(*args):
+            calls.append(args)
+            return compile_plan(*args)
+
+        monkeypatch.setattr(protocol, "compile_plan", counted)
+        monkeypatch.setattr(cli, "compile_plan", counted)
+        assert main(["protocol", "--n", "3"]) == EXIT_OK
+        assert calls == [(3, 1.0, 0.0)]
 
     def test_protocol_unknown_engine_is_input_error(self, capsys):
         assert main(["protocol", "--n", "3", "--engine", "sparse"]) == EXIT_INPUT

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ghznet.couplings import (
     MAX_DENSE_QUBITS,
     CouplingGraph,
+    _exchange_pattern,
     ideal,
     perturbed_general,
     perturbed_n3,
@@ -26,7 +27,7 @@ from ghznet.symmetric import (
     popcounts,
     uniform_superposition,
 )
-from reference import CapacityError, pauli_on, to_dense, to_sparse_coo
+from reference import CapacityError, pauli_on, qubit_bits, to_dense, to_sparse_coo
 
 
 def pairwise_hamiltonian(graph):
@@ -277,6 +278,14 @@ class TestSparsePattern:
     def test_ideal_large_equals_coo_oracle(self, n, g, gz):
         graph = ideal(n, g, gz)
         assert_same_csr(to_sparse(graph), to_sparse_coo(graph))
+
+    @pytest.mark.parametrize("n", range(2, MAX_DENSE_QUBITS + 1))
+    def test_signs_are_the_qubit_bits_as_plus_minus_one(self, n):
+        signs = _exchange_pattern(n).signs
+        assert signs.dtype == np.int8
+        assert not signs.flags.writeable
+        want = 2 * np.array(qubit_bits(n)) - 1
+        assert np.array_equal(signs, want)
 
     def test_returned_matrix_is_the_callers_own(self):
         n = 6

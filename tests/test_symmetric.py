@@ -20,6 +20,7 @@ from ghznet.symmetric import (
     embed,
     entangle_phases,
     ghz_w_target,
+    popcounts,
     raising_coefficients,
     uniform_superposition,
 )
@@ -104,6 +105,13 @@ class TestBinomials:
 
         expect = np.exp(gammaln(301) - 2 * gammaln(151))
         assert abs(row[150] / expect - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_popcounts_count_the_set_bits(n):
+    pop = popcounts(n)
+    assert pop.dtype == np.int64
+    assert pop.tolist() == [bin(i).count("1") for i in range(2**n)]
 
 
 class TestEigenvalues:
