@@ -27,6 +27,7 @@ from .optimizer import (
     OptimizerConfig,
     objective,
     optimize,
+    optimize_many,
     optimize_restricted_n4,
     problem_even_full,
     problem_even_restricted,

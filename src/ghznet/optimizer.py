@@ -39,9 +39,14 @@ load ``scipy.optimize``.  :func:`_lockstep` takes an ``(S, n)`` array of
 starts and one box, tolerances and budget, and runs the S searches as
 array operations on one ``(S, n + 1, n)`` simplex array, each stage
 evaluating the trial points of all S in one batched call; each search
-ends where it ends alone.  :func:`optimize` passes its ``(S, p)`` start
-array (:func:`_start_points`) and :func:`minimize` a one-row one; with
-two or more variables both return scipy's results bit for bit.
+ends where it ends alone.  :func:`optimize_many` stacks the
+:func:`_start_points` of several problems that differ only in their graph
+(the 11 of the default :func:`sweep` give S = 88) for one lockstep, whose
+evaluation propagates each row with its own problem's eigendecomposition,
+gathered from stacks of them; :func:`optimize` is its one-problem case
+and :func:`minimize` runs a one-row start array.  With two or more
+variables every result is scipy's bit for bit, and each problem's
+:func:`optimize_many` result is its own :func:`optimize`.
 
 A three-qubit correction is reported as one row, built by
 :func:`correction_row` and formatted by :func:`row_cells`: every row of
@@ -51,14 +56,15 @@ A three-qubit correction is reported as one row, built by
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .couplings import CouplingGraph, check_integer, check_real, perturbed_n3
 from .dense import StateVector, fidelity_frobenius_raw, rotate_pulses, single_qubit_rotation
-from .protocol import HamiltonianPropagator, ProtocolPlan, Pulse, compile_plan, ghz_target
+from .protocol import (
+    HamiltonianPropagator, ProtocolPlan, Pulse, apply_factors, compile_plan, ghz_target,
+)
 
 SWEEP_COLUMNS = ("eta13", "t_ratio", "alpha1", "alpha2", "alpha3", "F_opt", "F_uncorrected")
 
@@ -133,10 +139,14 @@ class OptimizationProblem:
         """Execute the plan and strip the expected global phase."""
         return StateVector(self.n_qubits, self._state(_one_row(self, params))[0])
 
-    def _state(self, rows: np.ndarray) -> np.ndarray:
+    def _state(self, rows: np.ndarray, propagate=None) -> np.ndarray:
         """Amplitudes of :meth:`run` for each row of a ``(K, p)`` block of
         parameter vectors, in one batched evaluation, without building a
-        plan or a state; each row's amplitudes are those it has alone."""
+        plan or a state; each row's amplitudes are those it has alone.
+
+        ``propagate`` maps the rows' times to their propagated states; by
+        default this problem's propagator does.  :func:`optimize_many`
+        passes one that applies each row's own problem's."""
         # "not inside the box", so that NaN (never inside) is refused too
         if not ((self.lower <= rows) & (rows <= self.upper)).all():
             raise ValueError("parameters outside the problem bounds")
@@ -146,7 +156,7 @@ class OptimizationProblem:
             matrices = single_qubit_rotation(axis, rows[:, cols])
             for j, col in enumerate(cols):
                 us[self.free[col - 1]] = matrices[:, j]
-        amps = self._propagator.propagate(rows[:, 0])
+        amps = (propagate or self._propagator.propagate)(rows[:, 0])
         amps = rotate_pulses(amps, self.n_qubits, self._qubits, us)
         return amps * self._phase_conj
 
@@ -244,12 +254,53 @@ def objective(problem: OptimizationProblem, params: np.ndarray) -> float:
     return float(_objectives(problem, _one_row(problem, params))[0])
 
 
-def _objectives(problem: OptimizationProblem, rows: np.ndarray) -> np.ndarray:
+def _objectives(
+    problem: OptimizationProblem, rows: np.ndarray, propagate=None
+) -> np.ndarray:
     """:func:`objective` of each row of a ``(K, p)`` block, in one batched
-    evaluation; each value equals the row's own."""
+    evaluation; each value equals the row's own.  ``propagate``: see
+    :meth:`OptimizationProblem._state`."""
     return 1.0 - fidelity_frobenius_raw(
-        problem._state(rows), problem._target, align_phase=True
+        problem._state(rows, propagate), problem._target, align_phase=True
     )
+
+
+def _joint_objectives(problems: list[OptimizationProblem], restarts: int):
+    """The ``evaluate(rows, searches)`` of :func:`optimize_many`: the
+    :func:`objective` of each row under its own problem, ``problems[searches
+    // restarts]``, in one batched evaluation.
+
+    The problems share everything but the graph, so only the propagation
+    differs from row to row.  A block from one problem is that problem's
+    :func:`_objectives`.  In a mixed block each row is propagated with its
+    problem's factors, gathered from ``(P, d, d)``, ``(P, d)`` and ``(P, d)``
+    stacks for one :func:`~ghznet.protocol.apply_factors` (above
+    ``EIGH_MAX_QUBITS``, by its problem's propagator, one row at a time).
+    Either way each value equals the row's own.
+    """
+    first = problems[0]
+    if len(problems) == 1:
+        return lambda rows, _: _objectives(first, rows)
+    factorized = first._propagator.factorized
+    if factorized:
+        stacks = [np.stack(f) for f in zip(*(p._propagator.factors for p in problems))]
+
+    def evaluate(rows, searches):
+        owner = searches // restarts
+        if (owner == owner[0]).all():
+            return _objectives(problems[owner[0]], rows)
+        if factorized:
+            def propagate(t):
+                return apply_factors(*(stack[owner] for stack in stacks), t)
+        else:
+            def propagate(t):
+                return np.array([
+                    problems[k]._propagator.propagate(time)
+                    for k, time in zip(owner.tolist(), t.tolist())
+                ])
+        return _objectives(first, rows, propagate)
+
+    return evaluate
 
 
 def _clip(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -267,10 +318,12 @@ def _lockstep(x0, lower, upper, xatol, fatol, maxfev, evaluate) -> list[Minimize
     ``(S, n + 1, n)`` array, with ``(S, n + 1)`` values and ``(S,)``
     evaluation counts, and a finished search leaves the arrays.  Each
     stage stacks the trial points of every search that needs it for one
-    ``evaluate`` call, which returns their values: the first simplices,
-    then each round the reflections, the expansions and contractions, and
-    the shrunk vertices.  No search reads another's values, so each
-    result equals its S = 1 run.
+    ``evaluate(rows, searches)`` call, which returns their values:
+    ``searches[i]`` is the search of ``rows[i]`` (its row in ``x0``), in
+    ascending order.  The stages are the first simplices, then each round
+    the reflections, the expansions and contractions, and the shrunk
+    vertices.  No search reads another's values, so each result equals
+    its S = 1 run.
 
     The steps port scipy 1.17.1's ``_minimize_neldermead`` with ``bounds``
     and ``maxfev`` (non-adaptive, default initial simplex), with scipy's
@@ -302,8 +355,8 @@ def _lockstep(x0, lower, upper, xatol, fatol, maxfev, evaluate) -> list[Minimize
     chi, psi, sigma = 2.0, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
 
-    def values(rows):
-        return np.asarray(evaluate(rows), dtype=float)
+    def values(rows, searches):
+        return np.asarray(evaluate(rows, searches), dtype=float)
 
     x0 = _clip(np.asarray(x0, dtype=float), lower, upper)
     count, n = x0.shape
@@ -319,7 +372,9 @@ def _lockstep(x0, lower, upper, xatol, fatol, maxfev, evaluate) -> list[Minimize
     fsim = np.full((count, n + 1), np.inf)
     first = min(n + 1, maxfev)
     if first:
-        fsim[:, :first] = values(sim[:, :first].reshape(-1, n)).reshape(count, first)
+        fsim[:, :first] = values(
+            sim[:, :first].reshape(-1, n), np.repeat(np.arange(count), first)
+        ).reshape(count, first)
     nfev = np.full(count, first)
     at = np.arange(count)[:, None]
     # both of scipy's sorts stay, so that tied values end up in scipy's
@@ -355,7 +410,7 @@ def _lockstep(x0, lower, upper, xatol, fatol, maxfev, evaluate) -> list[Minimize
         worst, fworst = sim[:, -1], fsim[:, -1]
         # reflection, (1 + rho) * xbar - rho * worst with rho = 1
         xr = _clip(2.0 * xbar - worst, lower, upper)
-        fxr = values(xr)
+        fxr = values(xr, search_of)
         nfev += 1
         better = fxr < fsim[:, 0]
         good = ~better & (fxr < fsim[:, -2])
@@ -369,7 +424,7 @@ def _lockstep(x0, lower, upper, xatol, fatol, maxfev, evaluate) -> list[Minimize
             a = np.where(better, 1 + chi, np.where(outside, 1 + psi, 1 - psi))[:, None]
             xt = _clip(a * xbar - (a - 1.0) * worst, lower, upper)
             fxt = fxr.copy()
-            fxt[second] = values(xt[second])
+            fxt[second] = values(xt[second], search_of[second])
             nfev += second
             accept = second & np.where(
                 better, fxt < fxr, np.where(outside, fxt <= fxr, fxt < fworst)
@@ -390,8 +445,11 @@ def _lockstep(x0, lower, upper, xatol, fatol, maxfev, evaluate) -> list[Minimize
             sim[:, 1:] = np.where(moves[..., None], moved, sim[:, 1:])
             evaluated = shrink[:, None] & (vertex <= left)
             if evaluated.any():
-                fsim[:, 1:][evaluated] = values(sim[:, 1:][evaluated])
-                nfev += evaluated.sum(1)
+                counts = evaluated.sum(1)
+                fsim[:, 1:][evaluated] = values(
+                    sim[:, 1:][evaluated], np.repeat(search_of, counts)
+                )
+                nfev += counts
 
         ind = fsim.argsort(axis=1)
         sim, fsim = sim[at, ind], fsim[at, ind]
@@ -403,7 +461,7 @@ def minimize(fun, x0, lower, upper, xatol, fatol, maxfev) -> MinimizeResult:
     on a row of its own.  For two or more variables its result equals
     scipy's bit for bit (one variable: see :func:`_lockstep`)."""
     (result,) = _lockstep(
-        [x0], lower, upper, xatol, fatol, maxfev, lambda rows: [fun(x) for x in rows]
+        [x0], lower, upper, xatol, fatol, maxfev, lambda rows, _: [fun(x) for x in rows]
     )
     return result
 
@@ -424,7 +482,7 @@ def optimize(
     problem: OptimizationProblem, config: OptimizerConfig = OptimizerConfig()
 ) -> OptimizationResult:
     """Multistart Nelder-Mead over the problem's parameter box, all starts
-    in one :func:`_lockstep`.
+    in one :func:`_lockstep`: the one-problem :func:`optimize_many`.
 
     The starts are the rows of :func:`_start_points`' ``(restarts, p)``
     array: row 0 is the ideal (uncorrected) parameter point, the rest are
@@ -434,22 +492,58 @@ def optimize(
     broken by lowest start index, making the result deterministic for a
     fixed seed.
     """
+    return optimize_many([problem], config)[0]
+
+
+def optimize_many(
+    problems: list[OptimizationProblem], config: OptimizerConfig = OptimizerConfig()
+) -> list[OptimizationResult]:
+    """:func:`optimize` of each problem, every start of every problem in one
+    :func:`_lockstep`, so that each stage is one batched evaluation.
+
+    The problems must share ``plan``, ``free`` and the box, so that only
+    their graphs differ (as :func:`sweep`'s do); anything else, or no
+    problem, raises ``ValueError`` before any evaluation.  Problem i's
+    starts are rows ``i * restarts`` to ``(i + 1) * restarts - 1`` of the
+    stacked start array, and its result equals ``optimize(problems[i],
+    config)`` in every field, as every search and every row's value
+    equals its own.
+    """
+    problems = list(problems)
+    if not problems:
+        raise ValueError("optimize_many needs at least one problem")
+    first = problems[0]
+    for problem in problems[1:]:
+        if not (
+            problem.plan == first.plan and problem.free == first.free
+            and np.array_equal(problem.lower, first.lower)
+            and np.array_equal(problem.upper, first.upper)
+        ):
+            raise ValueError(
+                "problems optimized together must share their plan, free pulses "
+                "and box; only the graph may differ"
+            )
+    restarts = config.restarts
     # Nelder-Mead with bounds clips trial points, so they are always in-box
     results = _lockstep(
-        _start_points(problem, config), problem.lower, problem.upper,
-        1e-8, config.tolerance, config.max_evals,
-        functools.partial(_objectives, problem),
+        np.vstack([_start_points(problem, config) for problem in problems]),
+        first.lower, first.upper, 1e-8, config.tolerance, config.max_evals,
+        _joint_objectives(problems, restarts),
     )
-    # min keeps the first of equal values: the lowest start index wins ties
-    best = min(results, key=lambda res: res.fun)
-    return OptimizationResult(
-        t_opt=float(best.x[0]),
-        angles_opt=np.array(best.x[1:], dtype=float),
-        fidelity=1.0 - float(best.fun),
-        objective_evaluations=sum(res.nfev for res in results),
-        converged=bool(best.success),
-        starts=tuple(results),
-    )
+    out = []
+    for k in range(len(problems)):
+        starts = results[k * restarts:(k + 1) * restarts]
+        # min keeps the first of equal values: the lowest start index wins ties
+        best = min(starts, key=lambda res: res.fun)
+        out.append(OptimizationResult(
+            t_opt=float(best.x[0]),
+            angles_opt=np.array(best.x[1:], dtype=float),
+            fidelity=1.0 - float(best.fun),
+            objective_evaluations=sum(res.nfev for res in starts),
+            converged=bool(best.success),
+            starts=tuple(starts),
+        ))
+    return out
 
 
 def optimize_restricted_n4(
@@ -502,9 +596,11 @@ def sweep(
 
     Each row is a :func:`correction_row`.  Every problem is built before
     the first optimization, so bad input (an empty grid, a deficit outside
-    [0, 1), g = gz) raises ``ValueError`` and no row is returned; a row
-    whose optimization fails is marked with ``error`` instead of being
-    dropped.
+    [0, 1), g = gz) raises ``ValueError`` and no row is returned.  The
+    problems are optimized together by :func:`optimize_many`; if that
+    raises ``ValueError`` or ``ArithmeticError``, each runs alone through
+    :func:`optimize`, and a row whose optimization fails is marked with
+    ``error`` instead of being dropped.
     """
     etas = [check_real(eta13, "eta13") for eta13 in eta13_values]
     # an empty grid would write a header-only CSV
@@ -512,10 +608,17 @@ def sweep(
         raise ValueError("eta13 grid is empty: a sweep needs at least one deficit")
     graphs = (perturbed_n3(g12, eta23, eta13, kappa, zz_mode=zz_mode) for eta13 in etas)
     problems = [problem_odd(graph) for graph in graphs]
+    try:
+        results = optimize_many(problems, config)
+    except (ValueError, ArithmeticError):
+        # one failing problem fails the joint run: run each problem alone,
+        # so that only the failing ones lose their rows
+        results = None
     rows = []
-    for eta13, problem in zip(etas, problems):
+    for k, (eta13, problem) in enumerate(zip(etas, problems)):
         try:
-            row = correction_row(eta13, problem, optimize(problem, config))
+            result = optimize(problem, config) if results is None else results[k]
+            row = correction_row(eta13, problem, result)
         # failed rows are reported, not dropped; any other error is a bug
         except (ValueError, ArithmeticError) as exc:
             row = {

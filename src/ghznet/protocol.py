@@ -249,8 +249,9 @@ class HamiltonianPropagator:
 
     * factorized (N <= ``EIGH_MAX_QUBITS``) -- the full complex
       eigendecomposition of H, built with the propagator, and the start's
-      coefficients in that eigenbasis, after which each apply is one dense
-      product;
+      coefficients in that eigenbasis (its :attr:`factors`), after which
+      each apply is one dense product, :func:`apply_factors`, which also
+      applies stacks of several propagators' factors row by row;
     * matrix-free (above) -- H is stored as real CSR shifted and scaled to
       [-1, 1] by its Gershgorin bounds (centre c, radius r), written into
       the arrays :func:`~ghznet.couplings.to_sparse` returned (same
@@ -304,10 +305,7 @@ class HamiltonianPropagator:
         if not np.isfinite(t).all():
             raise ValueError(f"propagation times must be finite, got {t}")
         if self._rates is not None:
-            # per row, one matrix-vector product, as for a single time (one
-            # product over all K columns would round otherwise)
-            phased = np.exp(self._rates * t[..., None]) * self._start
-            return (self._eigvecs @ phased[..., None])[..., 0]
+            return apply_factors(self._eigvecs, self._rates, self._start, t)
         rt = self._radius * t
         if not np.all(np.abs(rt) <= MAX_CHEBYSHEV_ORDER):
             raise PropagationError(
@@ -328,6 +326,27 @@ class HamiltonianPropagator:
             for time in t.reshape(-1).tolist()
         ]
         return np.array(out, dtype=complex).reshape(t.shape + (1 << self.n_qubits,))
+
+    @property
+    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The eigenvectors, ``-1j`` times the eigenvalues and the start's
+        coefficients of a :attr:`factorized` propagator, as
+        :func:`apply_factors` takes them."""
+        return self._eigvecs, self._rates, self._start
+
+
+def apply_factors(eigvecs, rates, start, t: np.ndarray) -> np.ndarray:
+    """``eigvecs @ (exp(rates t) * start)`` for each of the finite times
+    ``t``: the factorized apply of :class:`HamiltonianPropagator`.
+
+    The factors are one propagator's ``(d, d)``, ``(d,)`` and ``(d,)``
+    arrays, or ``(K, d, d)``, ``(K, d)`` and ``(K, d)`` stacks of them for K
+    times, row i applying its own.  Each row is one matrix-vector product,
+    as for a single time (one product over all K columns would round
+    otherwise), so a row's state has the bytes of its own apply.
+    """
+    phased = np.exp(rates * t[..., None]) * start
+    return (eigvecs @ phased[..., None])[..., 0]
 
 
 def _prepared(n: int) -> np.ndarray:

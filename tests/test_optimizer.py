@@ -5,6 +5,7 @@ import functools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from ghznet import optimizer
 from ghznet.chebyshev import PropagationError
 from ghznet.couplings import ideal, perturbed_general, perturbed_n3
 from ghznet.optimizer import (
+    OptimizationProblem,
     OptimizerConfig,
     SWEEP_COLUMNS,
     objective,
@@ -25,11 +27,13 @@ from ghznet.optimizer import (
     problem_even_full,
     problem_even_restricted,
     problem_odd,
+    row_cells,
     sweep,
     uncorrected_fidelity,
     write_sweep_csv,
 )
 from ghznet.dense import (
+    GlobalPhase,
     StateVector,
     fidelity_frobenius,
     fidelity_frobenius_raw,
@@ -38,6 +42,8 @@ from ghznet.dense import (
 )
 from ghznet.protocol import (
     HamiltonianPropagator,
+    apply_factors,
+    compile_plan,
     entangling_time,
     execute,
     ghz_target,
@@ -287,6 +293,103 @@ class TestBatchedObjective:
         assert str(batched.value) == str(single.value)
 
 
+def _sweep_problems(etas=np.linspace(0.0, 0.10, 11)):
+    """The default ``ghznet sweep``'s problems: one plan, free set and box."""
+    return [problem_odd(perturbed_n3(1.0, 0.02, eta, 0.05)) for eta in etas]
+
+
+# problem sets that optimize_many runs together, and the most rows per
+# problem in a mixed block (the odd-7 rows each run a Chebyshev expansion)
+JOINT_SETS = {
+    "sweep-11": (_sweep_problems(), 11),
+    "full-4-two-graphs": (
+        [problem_even_full(random_n4_graph(np.random.default_rng(s))) for s in (11, 12)], 11
+    ),
+    "odd-7-two-graphs": (
+        [
+            problem_odd(ideal(7, 1.0, 0.05)),
+            problem_odd(perturbed_general(7, 1.0, 0.05, {
+                (i, j): 1.0 - 0.01 * ((i * j) % 5) for i in range(1, 8) for j in range(i + 1, 8)
+            })),
+        ],
+        2,
+    ),
+}
+
+
+class TestJointObjectives:
+    """One evaluation of a block mixed across problems gives each row the
+    value it has under its own problem alone."""
+
+    RESTARTS = 3
+
+    def _rows(self, problems, counts, rng, near):
+        """Rows for problem k, ``counts[k]`` of them, and their search
+        indices, shuffled together."""
+        owner = np.repeat(np.arange(len(problems)), counts)
+        problem = problems[0]
+        span = problem.upper - problem.lower
+        fractions = rng.uniform(0.0, 1.0, size=(len(owner), span.shape[0]))
+        if near:
+            # within 1e-4 of the box's width of the problems' shared ideal point
+            rows = problem.ideal_params + (fractions - 0.5) * 2e-4 * span
+        else:
+            rows = problem.lower + fractions * span
+        rows = np.clip(rows, problem.lower, problem.upper)
+        searches = owner * self.RESTARTS + rng.integers(0, self.RESTARTS, len(owner))
+        order = rng.permutation(len(owner))
+        return rows[order], searches[order]
+
+    @pytest.mark.parametrize("name", sorted(JOINT_SETS))
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), near=st.booleans())
+    def test_each_row_equals_objective(self, name, data, seed, near):
+        problems, most = JOINT_SETS[name]
+        counts = data.draw(
+            st.lists(st.integers(1, most), min_size=len(problems), max_size=len(problems))
+        )
+        rows, searches = self._rows(problems, counts, np.random.default_rng(seed), near)
+        values = optimizer._joint_objectives(problems, self.RESTARTS)(rows, searches)
+        want = [
+            objective(problems[k], row)
+            for k, row in zip((searches // self.RESTARTS).tolist(), rows)
+        ]
+        assert np.asarray(values).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(JOINT_SETS))
+    def test_block_of_one_problem(self, name):
+        problems, most = JOINT_SETS[name]
+        evaluate = optimizer._joint_objectives(problems, self.RESTARTS)
+        for k, problem in enumerate(problems):
+            counts = [most if j == k else 0 for j in range(len(problems))]
+            rows, searches = self._rows(problems, counts, np.random.default_rng(k), False)
+            want = [objective(problem, row) for row in rows]
+            assert np.asarray(evaluate(rows, searches)).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(JOINT_SETS))
+    def test_one_problem_at_both_ends_of_the_block(self, name):
+        # the first and last rows share a problem, the middle one does not
+        problems, _ = JOINT_SETS[name]
+        rows, searches = self._rows(problems[:2], [2, 1], np.random.default_rng(7), False)
+        # sorted by problem, [0, 0, 1], then reordered to [0, 1, 0]
+        order = np.argsort(searches // self.RESTARTS, kind="stable")[[0, 2, 1]]
+        rows, searches = rows[order], searches[order]
+        assert searches[0] // self.RESTARTS == searches[-1] // self.RESTARTS
+        values = optimizer._joint_objectives(problems, self.RESTARTS)(rows, searches)
+        want = [
+            objective(problems[k], row)
+            for k, row in zip((searches // self.RESTARTS).tolist(), rows)
+        ]
+        assert np.asarray(values).tobytes() == np.array(want).tobytes()
+
+    def test_one_bad_row_refuses_the_block(self):
+        problems, _ = JOINT_SETS["sweep-11"]
+        rows, searches = self._rows(problems, [2] * 11, np.random.default_rng(0), True)
+        rows[5, 0] = np.nan
+        with pytest.raises(ValueError, match="bounds"):
+            optimizer._joint_objectives(problems, self.RESTARTS)(rows, searches)
+
+
 class TestLockstepBits:
     """Nelder-Mead searches driven together, one batched call per round,
     end where each one alone ends: where scipy does."""
@@ -315,7 +418,7 @@ class TestLockstepBits:
         # one start on the NaN region's edge: its first simplex has a NaN vertex
         x0s[-1][0] = cut
         results = optimizer._lockstep(
-            x0s, problem.lower, problem.upper, 1e-8, 1e-10, maxfev, values
+            x0s, problem.lower, problem.upper, 1e-8, 1e-10, maxfev, lambda rows, _: values(rows)
         )
         if kind == "nan" and maxfev > 3:
             assert sum(nan_rows) > 0
@@ -367,7 +470,9 @@ class TestLockstepIndependence:
             return out
 
         def search(x0s):
-            return optimizer._lockstep(x0s, lower, upper, 1e-8, 1e-10, maxfev, values)
+            return optimizer._lockstep(
+                x0s, lower, upper, 1e-8, 1e-10, maxfev, lambda rows, _: values(rows)
+            )
 
         together = search(x0s)
         for x0, ours in zip(x0s, together):
@@ -406,6 +511,24 @@ class TestBatchKernels:
         assert block.shape == (3, 1 << n)
         for t, row in zip(times.tolist(), block):
             assert row.tobytes() == prop.propagate(t).tobytes()
+
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_stacked_factors_give_each_row_its_own_propagation(self, n):
+        rng = np.random.default_rng(n)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        props = [
+            HamiltonianPropagator(
+                perturbed_general(n, 1.0, 0.05, {p: rng.uniform(0.9, 1.0) for p in pairs})
+            )
+            for _ in range(3)
+        ]
+        stacks = [np.stack(f) for f in zip(*(prop.factors for prop in props))]
+        owner = rng.integers(0, len(props), 20)
+        times = rng.uniform(0.1, 3.0, 20)
+        block = apply_factors(*(stack[owner] for stack in stacks), times)
+        for k, t, row in zip(owner.tolist(), times.tolist(), block):
+            assert row.tobytes() == props[k].propagate(t).tobytes()
 
 
 class TestBoundsCheck:
@@ -506,7 +629,7 @@ class TestMinimizeBookkeeping:
         optimizer.minimize(lambda x: values([x])[0], x0s[0], lower, upper, 1e-8, 1e-10, 1)
         assert seen[0].tobytes() == want[:1].tobytes()
         seen.clear()
-        optimizer._lockstep(x0s, lower, upper, 1e-8, 1e-10, 1, values)
+        optimizer._lockstep(x0s, lower, upper, 1e-8, 1e-10, 1, lambda rows, _: values(rows))
         assert seen[0].tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -637,6 +760,96 @@ class TestOptimize:
             optimize_restricted_n4(ideal(3, 1, 0.05), FAST)
 
 
+def _same_result(ours, alone):
+    """Two ``OptimizationResult``s agree in every field, every start's too."""
+    assert ours.t_opt == alone.t_opt
+    assert ours.angles_opt.tobytes() == alone.angles_opt.tobytes()
+    assert ours.fidelity == alone.fidelity
+    assert ours.objective_evaluations == alone.objective_evaluations
+    assert ours.converged == alone.converged
+    assert len(ours.starts) == len(alone.starts)
+    for mine, own in zip(ours.starts, alone.starts):
+        assert mine.x.tobytes() == own.x.tobytes()
+        assert np.float64(mine.fun).tobytes() == np.float64(own.fun).tobytes()
+        assert mine.nfev == own.nfev
+        assert mine.success == own.success
+
+
+class TestOptimizeMany:
+    """Every start of every problem in one lockstep: each problem's result
+    is its own ``optimize``."""
+
+    @pytest.mark.parametrize("max_evals", [1, 60, 400])
+    def test_sweep_problems_equal_their_own_runs(self, max_evals):
+        problems = _sweep_problems()
+        config = OptimizerConfig(max_evals=max_evals, restarts=4, seed=5)
+        together = optimizer.optimize_many(problems, config)
+        assert len(together) == len(problems)
+        for problem, ours in zip(problems, together):
+            _same_result(ours, optimize(problem, config))
+
+    @pytest.mark.parametrize(
+        "problems",
+        [
+            _sweep_problems([0.05, 0.10]),
+            [problem_even_full(random_n4_graph(np.random.default_rng(s))) for s in (3, 4)],
+        ],
+        ids=["odd-3", "full-4"],
+    )
+    def test_two_at_the_default_config(self, problems):
+        together = optimizer.optimize_many(problems)
+        for problem, ours in zip(problems, together):
+            _same_result(ours, optimize(problem))
+
+    def _refused(self, problems, monkeypatch):
+        calls = []
+        monkeypatch.setattr(optimizer, "_lockstep", lambda *args: calls.append(args))
+        with pytest.raises(ValueError):
+            optimizer.optimize_many(problems, FAST)
+        assert calls == []
+
+    def test_refuses_no_problem(self, monkeypatch):
+        self._refused([], monkeypatch)
+
+    def test_refuses_different_qubit_counts(self, monkeypatch):
+        self._refused([problem_odd(ideal(3, 1, 0.05)), problem_odd(ideal(5, 1, 0.05))], monkeypatch)
+
+    def test_refuses_different_plans(self, monkeypatch):
+        # another ZZ coupling: another entangling time, and so another box
+        self._refused(
+            _sweep_problems([0.02]) + [problem_odd(perturbed_n3(1.0, 0.02, 0.02, 0.06))],
+            monkeypatch,
+        )
+        # the same pulses, free set and box, another expected phase
+        graph = perturbed_n3(1.0, 0.02, 0.06, 0.05)
+        plan = compile_plan(3, 1.0, 0.05).per_qubit()
+        turned = replace(plan, expected_phase=GlobalPhase(1j * plan.expected_phase.phase))
+        problems = [OptimizationProblem(graph, p, (0, 1, 2), np.pi) for p in (plan, turned)]
+        assert np.array_equal(problems[0].upper, problems[1].upper)
+        self._refused(problems, monkeypatch)
+
+    def test_refuses_different_free_pulses(self, monkeypatch):
+        graph = perturbed_n3(1.0, 0.02, 0.06, 0.05)
+        plan = compile_plan(3, 1.0, 0.05).per_qubit()
+        problems = [OptimizationProblem(graph, plan, free, np.pi) for free in ((0, 1), (1, 2))]
+        assert np.array_equal(problems[0].upper, problems[1].upper)
+        self._refused(problems, monkeypatch)
+
+    def test_refuses_different_boxes(self, monkeypatch):
+        graph = perturbed_n3(1.0, 0.02, 0.06, 0.05)
+        plan = compile_plan(3, 1.0, 0.05).per_qubit()
+        free = (0, 1, 2)
+        problems = [OptimizationProblem(graph, plan, free, top) for top in (np.pi, 3.5)]
+        self._refused(problems, monkeypatch)
+
+
+def _row_bytes(row):
+    """A sweep row's values as bytes, so that -0.0 and NaN payloads count."""
+    return [np.float64(row[c]).tobytes() for c in SWEEP_COLUMNS] + [
+        row["converged"], row["error"]
+    ]
+
+
 class TestSweep:
     def test_rows_and_dominance(self):
         rows = sweep([0.0, 0.05], config=FAST)
@@ -646,35 +859,43 @@ class TestSweep:
             assert r["F_opt"] >= r["F_uncorrected"]
 
     def test_failed_row_is_marked_not_dropped(self, monkeypatch):
-        real_optimize = optimizer.optimize
+        clean = sweep([0.0, 0.02], config=FAST)
+        real_optimize_many = optimizer.optimize_many
+        runs = []
 
-        def fails_without_deficit(problem, config):
-            graph = problem.graph
-            if graph.xy[(1, 3)] == graph.g_ref:
+        def fails_without_deficit(problems, config):
+            runs.append(len(problems))
+            if any(p.graph.xy[(1, 3)] == p.graph.g_ref for p in problems):
                 raise PropagationError("no convergence")
-            return real_optimize(problem, config)
+            return real_optimize_many(problems, config)
 
-        monkeypatch.setattr(optimizer, "optimize", fails_without_deficit)
+        monkeypatch.setattr(optimizer, "optimize_many", fails_without_deficit)
         rows = sweep([0.0, 0.02], config=FAST)
+        # the joint run fails, then each problem runs alone
+        assert runs == [2, 1, 1]
         assert rows[0]["error"].startswith("PropagationError")
         assert np.isnan(rows[0]["F_opt"])
         assert rows[1]["error"] == ""
+        # the clean row is, byte for byte, the one a sweep with no failure writes
+        assert row_cells(rows[1]) == row_cells(clean[1])
+        assert _row_bytes(rows[1]) == _row_bytes(clean[1])
 
     @pytest.mark.parametrize(
         "etas, kappa", [([0.02, -0.5], 0.05), ([0.02, 1.2], 0.05), ([0.02], 1.0)]
     )
     def test_bad_input_rejected_before_any_optimization(self, etas, kappa, monkeypatch):
         calls = []
-        monkeypatch.setattr(optimizer, "optimize", lambda *args: calls.append(args))
+        for name in ("optimize", "optimize_many"):
+            monkeypatch.setattr(optimizer, name, lambda *args: calls.append(args))
         with pytest.raises(ValueError):
             sweep(etas, kappa=kappa, config=FAST)
         assert calls == []
 
     def test_unexpected_error_propagates(self, monkeypatch):
-        def broken(problem, config):
+        def broken(problems, config):
             raise TypeError("a bug, not a failed optimization")
 
-        monkeypatch.setattr(optimizer, "optimize", broken)
+        monkeypatch.setattr(optimizer, "optimize_many", broken)
         with pytest.raises(TypeError):
             sweep([0.02], config=FAST)
 
