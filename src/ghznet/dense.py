@@ -189,9 +189,16 @@ def phase_aligned(a: np.ndarray, target: np.ndarray) -> np.ndarray:
     # otherwise); an overflowing one raises, as abs does
     with np.errstate(over="raise"):
         r = np.hypot(ov.real, ov.imag)
-    live = r > 0
-    if live.all():
+    # the complex division multiplies by 1/r, which overflows for r <= 2**-1024
+    if (r > 2.0**-1024).all():
         return a * (ov.conjugate() / r)
+    # such a row's overlap is scaled by an exact power of two and its
+    # modulus taken again, so its phase has unit modulus; other rows keep
+    # their bits
+    tiny = (r > 0) & (r <= 2.0**-1024)
+    ov[tiny] *= 2.0**100
+    r[tiny] = np.hypot(ov.real[tiny], ov.imag[tiny])
+    live = r > 0
     # a row without a phase stays as it is, and divides by nothing
     phase = np.divide(ov.conjugate(), r, out=np.zeros_like(ov), where=live)
     return np.multiply(a, phase, out=a.copy(), where=live)

@@ -22,16 +22,22 @@ A problem is built once per graph and holds everything an evaluation
 does not change: the graph's propagator with the prepared state already
 in its eigenbasis, the qubit of each final pulse and its 2x2 matrix at
 the compiled angle, the GHZ target amplitudes and the conjugated
-expected phase.  An evaluation takes a block of K parameter rows at
-once: it propagates the prepared state for the K trial times, builds the
-free pulses' matrices at the trial angles (one call per axis), rotates
-the raw amplitudes with :func:`~ghznet.dense.rotate_pulses`, strips the
-expected phase and takes each row's phase-aligned Frobenius distance to
-the target.  Every kernel keeps one product per row, so each row goes
-through the floating-point operations, in order, of running
-``plan_for``'s plan through :func:`~ghznet.protocol.execute` and
+expected phase.  Every objective value and every :meth:`run` state comes
+from one per-block function, :func:`_objectives` and its states half
+:func:`_states`: a ``(K, p)`` block of parameter rows, each row owned by
+one of several problems that differ only in their graph.  It checks the
+box, builds the free pulses' matrices at the trial angles (one call per
+axis), propagates each row with its owner's eigen-factors (a lone
+problem's serve every row, several problems' are gathered from stacks
+built once per search; above ``EIGH_MAX_QUBITS`` each row runs its
+owner's propagator), rotates the raw amplitudes with
+:func:`~ghznet.dense.rotate_pulses`, strips the expected phase and takes
+each row's phase-aligned Frobenius distance to the target.  Every kernel
+keeps one product per row, so each row goes through the floating-point
+operations, in order, of running the plan at its time and angles through
+:func:`~ghznet.protocol.execute` and
 :func:`~ghznet.dense.fidelity_frobenius`, and the results agree bit for
-bit; :func:`objective` is the one-row case.
+bit; :func:`objective` and :meth:`run` are the one-row case.
 
 The search is bounded Nelder-Mead (Nelder and Mead, Comput. J. 7, 308
 (1965)) ported from scipy 1.17.1 so that importing the package does not
@@ -41,10 +47,9 @@ array operations on one ``(S, n + 1, n)`` simplex array, each stage
 evaluating the trial points of all S in one batched call; each search
 ends where it ends alone.  :func:`optimize_many` stacks the
 :func:`_start_points` of several problems that differ only in their graph
-(the 11 of the default :func:`sweep` give S = 88) for one lockstep, whose
-evaluation propagates each row with its own problem's eigendecomposition,
-gathered from stacks of them; :func:`optimize` is its one-problem case
-and :func:`minimize` runs a one-row start array.  With two or more
+(the 11 of the default :func:`sweep` give S = 88) for one lockstep, each
+stage one :func:`_objectives` call; :func:`optimize` is its one-problem
+case and :func:`minimize` runs a one-row start array.  With two or more
 variables every result is scipy's bit for bit, and each problem's
 :func:`optimize_many` result is its own :func:`optimize`.
 
@@ -63,7 +68,7 @@ import numpy as np
 from .couplings import CouplingGraph, check_integer, check_real, perturbed_n3
 from .dense import StateVector, fidelity_frobenius_raw, rotate_pulses, single_qubit_rotation
 from .protocol import (
-    HamiltonianPropagator, ProtocolPlan, Pulse, apply_factors, compile_plan, ghz_target,
+    HamiltonianPropagator, ProtocolPlan, apply_factors, compile_plan, ghz_target,
 )
 
 SWEEP_COLUMNS = ("eta13", "t_ratio", "alpha1", "alpha2", "alpha3", "F_opt", "F_uncorrected")
@@ -125,40 +130,9 @@ class OptimizationProblem:
     def n_qubits(self) -> int:
         return self.graph.n_qubits
 
-    def plan_for(self, params: np.ndarray) -> ProtocolPlan:
-        """Pulse sequence realizing the given parameter vector."""
-        finals = list(self.plan.finals)
-        for i, angle in zip(self.free, params[1:]):
-            finals[i] = Pulse(finals[i].axis, float(angle), finals[i].qubit)
-        return ProtocolPlan(
-            self.plan.n_qubits, float(params[0]), tuple(finals),
-            self.plan.expected_phase,
-        )
-
     def run(self, params: np.ndarray) -> StateVector:
         """Execute the plan and strip the expected global phase."""
-        return StateVector(self.n_qubits, self._state(_one_row(self, params))[0])
-
-    def _state(self, rows: np.ndarray, propagate=None) -> np.ndarray:
-        """Amplitudes of :meth:`run` for each row of a ``(K, p)`` block of
-        parameter vectors, in one batched evaluation, without building a
-        plan or a state; each row's amplitudes are those it has alone.
-
-        ``propagate`` maps the rows' times to their propagated states; by
-        default this problem's propagator does.  :func:`optimize_many`
-        passes one that applies each row's own problem's."""
-        # "not inside the box", so that NaN (never inside) is refused too
-        if not ((self.lower <= rows) & (rows <= self.upper)).all():
-            raise ValueError("parameters outside the problem bounds")
-        us = list(self._matrices)
-        # one call per axis builds that axis's free matrices for every row
-        for axis, cols in self._free_columns.items():
-            matrices = single_qubit_rotation(axis, rows[:, cols])
-            for j, col in enumerate(cols):
-                us[self.free[col - 1]] = matrices[:, j]
-        amps = (propagate or self._propagator.propagate)(rows[:, 0])
-        amps = rotate_pulses(amps, self.n_qubits, self._qubits, us)
-        return amps * self._phase_conj
+        return StateVector(self.n_qubits, _states(*_one_row(self, params))[0])
 
 
 @dataclass(frozen=True)
@@ -238,69 +212,76 @@ def problem_even_full(graph: CouplingGraph) -> OptimizationProblem:
     return OptimizationProblem(graph, plan, tuple(range(graph.n_qubits)), np.pi)
 
 
-def _one_row(problem: OptimizationProblem, params) -> np.ndarray:
-    """``params`` as a one-row block, refused unless it holds exactly one
-    value per parameter."""
+def _one_row(problem: OptimizationProblem, params) -> tuple:
+    """The :func:`_states` arguments of ``params`` alone, a one-row block of
+    ``problem``, refused unless it holds exactly one value per parameter."""
     params = np.asarray(params, dtype=float)
     if params.shape != problem.ideal_params.shape:
         raise ValueError(
             f"expected {problem.ideal_params.shape[0]} parameters, got {params.shape}"
         )
-    return params[None]
+    return [problem], _factors([problem]), params[None], np.zeros(1, dtype=int)
 
 
 def objective(problem: OptimizationProblem, params: np.ndarray) -> float:
     """1 - phase-aligned Frobenius fidelity against the GHZ target."""
-    return float(_objectives(problem, _one_row(problem, params))[0])
+    return float(_objectives(*_one_row(problem, params))[0])
 
 
-def _objectives(
-    problem: OptimizationProblem, rows: np.ndarray, propagate=None
-) -> np.ndarray:
-    """:func:`objective` of each row of a ``(K, p)`` block, in one batched
-    evaluation; each value equals the row's own.  ``propagate``: see
-    :meth:`OptimizationProblem._state`."""
-    return 1.0 - fidelity_frobenius_raw(
-        problem._state(rows, propagate), problem._target, align_phase=True
-    )
-
-
-def _joint_objectives(problems: list[OptimizationProblem], restarts: int):
-    """The ``evaluate(rows, searches)`` of :func:`optimize_many`: the
-    :func:`objective` of each row under its own problem, ``problems[searches
-    // restarts]``, in one batched evaluation.
-
-    The problems share everything but the graph, so only the propagation
-    differs from row to row.  A block from one problem is that problem's
-    :func:`_objectives`.  In a mixed block each row is propagated with its
-    problem's factors, gathered from ``(P, d, d)``, ``(P, d)`` and ``(P, d)``
-    stacks for one :func:`~ghznet.protocol.apply_factors` (above
-    ``EIGH_MAX_QUBITS``, by its problem's propagator, one row at a time).
-    Either way each value equals the row's own.
-    """
-    first = problems[0]
+def _factors(problems: list[OptimizationProblem]):
+    """What :func:`_states` propagates the rows of ``problems`` with: a lone
+    problem's eigen-factors, the ``(P, d, d)``, ``(P, d)`` and ``(P, d)``
+    stacks of several problems' (built once per search, not per block), or
+    None above ``EIGH_MAX_QUBITS``, where each problem's propagator runs."""
+    if not problems[0]._propagator.factorized:
+        return None
     if len(problems) == 1:
-        return lambda rows, _: _objectives(first, rows)
-    factorized = first._propagator.factorized
-    if factorized:
-        stacks = [np.stack(f) for f in zip(*(p._propagator.factors for p in problems))]
+        return problems[0]._propagator.factors
+    return tuple(np.stack(f) for f in zip(*(p._propagator.factors for p in problems)))
 
-    def evaluate(rows, searches):
-        owner = searches // restarts
-        if (owner == owner[0]).all():
-            return _objectives(problems[owner[0]], rows)
-        if factorized:
-            def propagate(t):
-                return apply_factors(*(stack[owner] for stack in stacks), t)
-        else:
-            def propagate(t):
-                return np.array([
-                    problems[k]._propagator.propagate(time)
-                    for k, time in zip(owner.tolist(), t.tolist())
-                ])
-        return _objectives(first, rows, propagate)
 
-    return evaluate
+def _states(problems, factors, rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """The :meth:`~OptimizationProblem.run` amplitudes of each row of a
+    ``(K, p)`` block, row i under ``problems[owner[i]]``, in one batched
+    evaluation, with ``factors`` from :func:`_factors`; each row's
+    amplitudes are those it has alone.
+
+    The problems share everything but the graph (:func:`optimize_many`
+    checks it), so only the propagation differs from row to row: a lone
+    problem's factors serve every row, several problems' are gathered
+    row by row from their stacks, and above ``EIGH_MAX_QUBITS`` each row
+    runs its own problem's propagator."""
+    first = problems[0]
+    # "not inside the box", so that NaN (never inside) is refused too
+    if not ((first.lower <= rows) & (rows <= first.upper)).all():
+        raise ValueError("parameters outside the problem bounds")
+    us = list(first._matrices)
+    # one call per axis builds that axis's free matrices for every row
+    for axis, cols in first._free_columns.items():
+        matrices = single_qubit_rotation(axis, rows[:, cols])
+        for j, col in enumerate(cols):
+            us[first.free[col - 1]] = matrices[:, j]
+    t = rows[:, 0]
+    if factors is None:
+        amps = np.array([
+            problems[k]._propagator.propagate(time)
+            for k, time in zip(owner.tolist(), t.tolist())
+        ])
+    elif len(problems) == 1:
+        amps = apply_factors(*factors, t)
+    else:
+        amps = apply_factors(*(stack[owner] for stack in factors), t)
+    amps = rotate_pulses(amps, first.n_qubits, first._qubits, us)
+    return amps * first._phase_conj
+
+
+def _objectives(problems, factors, rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """:func:`objective` of each row of a ``(K, p)`` block under its own
+    problem, in one batched evaluation of :func:`_states`; each value
+    equals the row's own.  Every objective value comes from here."""
+    return 1.0 - fidelity_frobenius_raw(
+        _states(problems, factors, rows, owner), problems[0]._target, align_phase=True
+    )
 
 
 def _clip(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -524,11 +505,12 @@ def optimize_many(
                 "and box; only the graph may differ"
             )
     restarts = config.restarts
+    factors = _factors(problems)
     # Nelder-Mead with bounds clips trial points, so they are always in-box
     results = _lockstep(
         np.vstack([_start_points(problem, config) for problem in problems]),
         first.lower, first.upper, 1e-8, config.tolerance, config.max_evals,
-        _joint_objectives(problems, restarts),
+        lambda rows, searches: _objectives(problems, factors, rows, searches // restarts),
     )
     out = []
     for k in range(len(problems)):

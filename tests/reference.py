@@ -3,8 +3,9 @@
 Kronecker-product Paulis and rotations, a dense Hamiltonian with
 eigendecomposition evolution, the COO-assembled sparse Hamiltonian, the
 dense generalized W states, and the collective ladder operators in both
-the W basis and the full 2^N space.  None of these runs in the package:
-they are independent oracles for its matrix-free kernels.  The Pauli
+the W basis and the full 2^N space; also the plan an optimizer parameter
+vector stands for.  None of these runs in the package: they are
+independent oracles for its matrix-free kernels.  The Pauli
 matrices are written out here, not taken from the package, so the
 oracles do not inherit the convention of the code they check.
 """
@@ -19,6 +20,7 @@ from scipy.sparse import csr_matrix
 
 from ghznet.couplings import MAX_DENSE_QUBITS, CouplingGraph, to_sparse
 from ghznet.dense import StateVector, single_qubit_rotation
+from ghznet.protocol import ProtocolPlan, Pulse
 from ghznet.symmetric import WBasisState, binomial_row, embed, raising_coefficients
 
 HERMITIAN_ATOL = 1e-12
@@ -237,3 +239,15 @@ def not_all_dense(n: int) -> np.ndarray:
     for _ in range(n):
         out = np.kron(out, PAULIS["x"])
     return out
+
+
+def plan_for(problem, params: np.ndarray) -> ProtocolPlan:
+    """Pulse sequence realizing the given parameter vector of an
+    :class:`~ghznet.optimizer.OptimizationProblem`."""
+    finals = list(problem.plan.finals)
+    for i, angle in zip(problem.free, params[1:]):
+        finals[i] = Pulse(finals[i].axis, float(angle), finals[i].qubit)
+    return ProtocolPlan(
+        problem.plan.n_qubits, float(params[0]), tuple(finals),
+        problem.plan.expected_phase,
+    )

@@ -229,13 +229,20 @@ class TestPhaseAligned:
         target = random_state(n, rng).amplitudes
         scales = np.array([10.0**e for e in exponents])[:, None]
         block = scales * (rng.normal(size=(len(scales), d)) + 1j * rng.normal(size=(len(scales), d)))
-        # below |v| ~ 5.6e-309 the unit phase's 1/|v| overflows, in the
-        # row's own alignment too (a fault of its own); the rows still agree
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = phase_aligned(block, target)
-            for row, out in zip(block, got):
+        got = phase_aligned(block, target)
+        for row, out in zip(block, got):
+            assert phase_aligned(row, target).tobytes() == out.tobytes()
+            overlap = abs(np.vdot(target, row))
+            if overlap > 2.0**-1024:
                 assert out.tobytes() == _aligned_alone(row, target).tobytes()
-                assert phase_aligned(row, target).tobytes() == out.tobytes()
+            elif overlap > 0:
+                # at or below 2**-1024 the row's own alignment divides by an
+                # overflowing 1/|v|; the aligned row is finite, and a unit
+                # phase times the row
+                assert np.isfinite(out).all()
+                j = np.argmax(np.abs(row))
+                phase = (out[j] * 2.0**600) / (row[j] * 2.0**600)
+                assert abs(abs(phase) - 1.0) < 1e-9
 
     def test_rows_without_a_phase_come_back_unchanged(self):
         target = basis_state(2, "00").amplitudes
@@ -250,6 +257,19 @@ class TestPhaseAligned:
         assert got[0].tobytes() == _aligned_alone(live, target).tobytes()
         for row, out in zip(block[1:], got[1:]):
             assert out.tobytes() == row.tobytes()
+
+    def test_subnormal_overlap_keeps_a_unit_phase(self):
+        # |<GHZ|a>| = 3e-309 / sqrt(2) is below 2**-1024, where 1/|v|
+        # overflows; the row is still aligned, alone and in a block
+        target = np.zeros(8, dtype=complex)
+        target[[0, 7]] = np.sqrt(0.5)
+        a = np.zeros(8, dtype=complex)
+        a[0] = 3e-309 * (0.6 + 0.8j)
+        for state in (a, np.array([a, target])):
+            out = np.atleast_2d(phase_aligned(state, target))[0]
+            assert np.isfinite(out).all()
+            assert out[0].real > 0 and abs(out[0].imag) <= 1e-15 * out[0].real
+            assert np.isfinite(fidelity_frobenius_raw(state, target, True)).all()
 
     def test_overflowing_modulus_raises(self):
         # |<target|a>| = 1.5e308 sqrt(2) is beyond the float range

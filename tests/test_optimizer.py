@@ -49,6 +49,7 @@ from ghznet.protocol import (
     ghz_target,
     theta,
 )
+from reference import plan_for
 
 FAST = OptimizerConfig(restarts=3)
 
@@ -90,11 +91,11 @@ class TestProblems:
         params = prob.ideal_params.copy()
         params[0] *= 1.1
         params[2] = 1.0
-        plan = prob.plan_for(params)
+        plan = plan_for(prob, params)
         assert plan.entangle_duration == params[0]
         assert [p.angle for p in plan.finals] == [np.pi / 2, 1.0, np.pi / 2, np.pi / 2, theta(4)]
         assert [p.qubit for p in plan.finals] == [1, 2, 3, 4, 1]
-        assert prob.plan_for(prob.ideal_params) == prob.plan
+        assert plan_for(prob, prob.ideal_params) == prob.plan
 
     def test_restricted_ideal_point(self):
         prob = problem_even_restricted(ideal(4, 1, 0.05))
@@ -149,7 +150,7 @@ FAMILIES = _families()
 
 def _reference_objective(problem, params):
     """1 - fidelity of the plan run through execute on a fresh propagator."""
-    plan = problem.plan_for(params)
+    plan = plan_for(problem, params)
     psi = execute(plan, problem.graph)
     psi = StateVector(psi.n_qubits, psi.amplitudes * plan.expected_phase.phase.conjugate())
     target = ghz_target(problem.n_qubits).state
@@ -170,9 +171,19 @@ class TestObjectiveBits:
         assert objective(problem, params) == _reference_objective(problem, params)
         assert np.array_equal(
             problem.run(params).amplitudes,
-            execute(problem.plan_for(params), problem.graph).amplitudes
+            execute(plan_for(problem, params), problem.graph).amplitudes
             * problem.plan.expected_phase.phase.conjugate(),
         )
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    @settings(max_examples=25, deadline=None)
+    @given(fractions=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))
+    def test_run_keeps_the_norm(self, name, fractions):
+        problem = FAMILIES[name]
+        size = problem.ideal_params.shape[0]
+        params = problem.lower + np.array(fractions[:size]) * (problem.upper - problem.lower)
+        params = np.clip(params, problem.lower, problem.upper)
+        assert abs(problem.run(params).norm() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_ideal_point_equals_plan_execution(self, name):
@@ -248,6 +259,13 @@ class TestMinimizeBits:
 BATCH_FAMILIES = {**FAMILIES, "odd-7": problem_odd(ideal(7, 1, 0.05))}
 
 
+def _alone(block_function, problem, rows):
+    """The optimizer's per-block ``block_function`` (``_objectives`` or
+    ``_states``) on a block of rows that all belong to ``problem``."""
+    owner = np.zeros(len(rows), dtype=int)
+    return block_function([problem], optimizer._factors([problem]), rows, owner)
+
+
 class TestBatchedObjective:
     """One batched evaluation of K rows gives each row's own value."""
 
@@ -268,9 +286,9 @@ class TestBatchedObjective:
         else:
             rows = problem.lower + fractions * span
         rows = np.clip(rows, problem.lower, problem.upper)
-        values = optimizer._objectives(problem, rows)
+        values = _alone(optimizer._objectives, problem, rows)
         assert values.tolist() == [objective(problem, row) for row in rows]
-        states = problem._state(rows)
+        states = _alone(optimizer._states, problem, rows)
         for row, state in zip(rows, states):
             assert state.tobytes() == problem.run(row).amplitudes.tobytes()
 
@@ -289,7 +307,7 @@ class TestBatchedObjective:
         with pytest.raises(ValueError, match="bounds") as single:
             objective(problem, row)
         with pytest.raises(ValueError, match="bounds") as batched:
-            optimizer._objectives(problem, rows)
+            _alone(optimizer._objectives, problem, rows)
         assert str(batched.value) == str(single.value)
 
 
@@ -323,6 +341,11 @@ class TestJointObjectives:
 
     RESTARTS = 3
 
+    def _evaluate(self, problems, rows, searches):
+        """The values ``optimize_many`` gets for a block of these rows."""
+        factors = optimizer._factors(problems)
+        return optimizer._objectives(problems, factors, rows, searches // self.RESTARTS)
+
     def _rows(self, problems, counts, rng, near):
         """Rows for problem k, ``counts[k]`` of them, and their search
         indices, shuffled together."""
@@ -349,7 +372,7 @@ class TestJointObjectives:
             st.lists(st.integers(1, most), min_size=len(problems), max_size=len(problems))
         )
         rows, searches = self._rows(problems, counts, np.random.default_rng(seed), near)
-        values = optimizer._joint_objectives(problems, self.RESTARTS)(rows, searches)
+        values = self._evaluate(problems, rows, searches)
         want = [
             objective(problems[k], row)
             for k, row in zip((searches // self.RESTARTS).tolist(), rows)
@@ -359,12 +382,12 @@ class TestJointObjectives:
     @pytest.mark.parametrize("name", sorted(JOINT_SETS))
     def test_block_of_one_problem(self, name):
         problems, most = JOINT_SETS[name]
-        evaluate = optimizer._joint_objectives(problems, self.RESTARTS)
         for k, problem in enumerate(problems):
             counts = [most if j == k else 0 for j in range(len(problems))]
             rows, searches = self._rows(problems, counts, np.random.default_rng(k), False)
             want = [objective(problem, row) for row in rows]
-            assert np.asarray(evaluate(rows, searches)).tobytes() == np.array(want).tobytes()
+            values = self._evaluate(problems, rows, searches)
+            assert np.asarray(values).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("name", sorted(JOINT_SETS))
     def test_one_problem_at_both_ends_of_the_block(self, name):
@@ -375,7 +398,7 @@ class TestJointObjectives:
         order = np.argsort(searches // self.RESTARTS, kind="stable")[[0, 2, 1]]
         rows, searches = rows[order], searches[order]
         assert searches[0] // self.RESTARTS == searches[-1] // self.RESTARTS
-        values = optimizer._joint_objectives(problems, self.RESTARTS)(rows, searches)
+        values = self._evaluate(problems, rows, searches)
         want = [
             objective(problems[k], row)
             for k, row in zip((searches // self.RESTARTS).tolist(), rows)
@@ -387,7 +410,7 @@ class TestJointObjectives:
         rows, searches = self._rows(problems, [2] * 11, np.random.default_rng(0), True)
         rows[5, 0] = np.nan
         with pytest.raises(ValueError, match="bounds"):
-            optimizer._joint_objectives(problems, self.RESTARTS)(rows, searches)
+            self._evaluate(problems, rows, searches)
 
 
 class TestLockstepBits:
@@ -403,7 +426,7 @@ class TestLockstepBits:
         nan_rows = []
 
         def values(rows):
-            out = optimizer._objectives(problem, rows)
+            out = _alone(optimizer._objectives, problem, rows)
             if kind == "rough":
                 # a coarse objective ties vertices and forces shrink steps
                 return [round(v, 3) for v in out.tolist()]

@@ -15,6 +15,7 @@ code is 1 if any invocation differs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import subprocess
 import sys
@@ -82,17 +83,25 @@ def compare(src_a: Path, src_b: Path, invocations: list[list[str]], out=print) -
     return differing
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--against", required=True, metavar="REV", help="git revision to compare with")
-    args = p.parse_args(argv)
+@contextlib.contextmanager
+def revision_src(rev: str):
+    """``rev``'s ``src/``, extracted with ``git archive`` into a temporary
+    directory that is removed on exit."""
     archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", args.against, "src"],
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
         capture_output=True, check=True,
     ).stdout
     with tempfile.TemporaryDirectory() as tree:
         subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
-        differing = compare(Path(tree) / "src", SRC, INVOCATIONS)
+        yield Path(tree) / "src"
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--against", required=True, metavar="REV", help="git revision to compare with")
+    args = p.parse_args(argv)
+    with revision_src(args.against) as src:
+        differing = compare(src, SRC, INVOCATIONS)
     total = len(INVOCATIONS)
     print(f"{total - differing} of {total} invocations identical")
     return 1 if differing else 0
