@@ -130,7 +130,7 @@ def load_config(command: str, path: str | None, overrides: dict) -> dict:
                 raise ConfigError(f"config key {key!r}: {raw!r} is not an integer")
             try:
                 values[key] = typ(raw)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
                 raise ConfigError(f"config key {key!r}: {exc}") from exc
             if typ is float and not math.isfinite(values[key]):
                 raise ConfigError(f"config key {key!r}: {raw!r} is not finite")

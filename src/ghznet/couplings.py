@@ -252,5 +252,9 @@ def star_to_delta(c_star: float, n: int) -> float:
     c_star = check_real(c_star, "capacitance")
     if c_star <= 0:
         raise ValueError(f"capacitance must be positive and finite, got {c_star}")
-    return c_star / check_qubit_count(n)
+    n = check_qubit_count(n)
+    try:
+        return c_star / n
+    except OverflowError:  # the division converts n to a float
+        raise ValueError(f"qubit count beyond the float range ({n.bit_length()} bits)") from None
 

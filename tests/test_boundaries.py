@@ -8,8 +8,8 @@ down, and never a ``RuntimeWarning`` (the suite turns warnings into
 errors).  Counts stay small where a missing check would allocate: dense
 entry points see at most ``MAX_DENSE_QUBITS + 1``, graph builders (which
 list all C(N,2) pairs) at most that too, W-basis ones at most 10^4; only
-``compile_plan`` and ``theta``, which allocate nothing per qubit, see
-counts beyond the float range.
+``compile_plan``, ``theta`` and ``star_to_delta``, which allocate nothing
+per qubit, see counts beyond the float range.
 
 ``COUNT_PROBES`` and ``COUPLING_PROBES`` list every entry point the
 property tests probe, and ``test_every_entry_point_is_probed`` fails when
@@ -363,6 +363,12 @@ def test_huge_counts_compile_or_name_the_overflow(n):
         _refused(lambda: theta(n))
     else:
         assert theta(n) in (math.pi / 2, 3 * math.pi / 2)
+
+
+def test_star_to_delta_refuses_a_count_beyond_the_float_range():
+    # C / n converts n to a float
+    _refused(lambda: star_to_delta(1.0, 10**400))
+    assert star_to_delta(1.0, 10**300) == 1e-300
 
 
 # ------------------------------------------------------- numpy input, Python output

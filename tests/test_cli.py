@@ -72,6 +72,13 @@ class TestConfig:
         assert main(["protocol", "--config", str(path)]) == EXIT_INPUT
         assert capsys.readouterr().out == ""
 
+    def test_integer_beyond_the_float_range_is_input_error(self, tmp_path, capsys):
+        # float(10**400) overflows: bad input, not a numerical failure
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"g": 10**400}))
+        assert main(["protocol", "--config", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: config key 'g': ")
+
     def test_integral_float_count_accepted(self):
         assert load_config("protocol", None, {"n_qubits": 5.0})["n_qubits"] == 5
 
@@ -80,6 +87,31 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert load_config("sweep", str(path), {}) == cfg
+
+
+FLOAT_KEYS = [
+    (command, key)
+    for command, schema in SCHEMAS.items()
+    for key, (typ, _) in schema.items()
+    if typ is float
+]
+
+
+@pytest.mark.parametrize("command, key", FLOAT_KEYS)
+@settings(max_examples=25, deadline=None)
+@given(value=st.builds(
+    lambda m, e: m << e, st.integers(), st.one_of(st.integers(0, 64), st.integers(960, 1100))
+))
+def test_any_integer_for_a_float_key_loads_or_is_a_config_error(command, key, value):
+    # m * 2**e often crosses the float range's end (about 2**1024), and
+    # shrinks far faster than an integer drawn from a 1100-bit range
+    try:
+        want = float(value)
+    except OverflowError:
+        with pytest.raises(ConfigError):
+            load_config(command, None, {key: value})
+    else:
+        assert load_config(command, None, {key: value})[key] == want
 
 
 class TestCommands:
@@ -248,6 +280,10 @@ class TestCommands:
 
     def test_star2delta_nonpositive(self, capsys):
         assert main(["star2delta", "--", "-1.0", "3"]) == EXIT_INPUT
+
+    def test_star2delta_count_beyond_the_float_range_is_input_error(self, capsys):
+        assert main(["star2delta", "1", str(10**400)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: qubit count beyond the float range")
 
     @pytest.mark.parametrize(
         "argv",
