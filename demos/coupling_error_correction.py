@@ -23,12 +23,11 @@ problem = problem_odd(graph)
 
 f_unc = uncorrected_fidelity(problem)
 result = optimize(problem)
-t_ref = np.pi / (2 * 0.95)
 
 print("three qubits, eta23 = 0.02, eta13 = 0.06, kappa = 0.05")
 print(f"  uncorrected fidelity : {f_unc:.4f}")
 print(f"  optimized fidelity   : {result.fidelity:.4f}")
-print(f"  t_opt / t_ideal      : {result.t_opt / t_ref:.4f}")
+print(f"  t_opt / t_ideal      : {result.t_opt / problem.plan.entangle_duration:.4f}")
 print(f"  final x angles / (pi/2): "
       + ", ".join(f"{a / (np.pi / 2):.4f}" for a in result.angles_opt))
 print(f"  ({result.objective_evaluations} objective evaluations)")

@@ -8,21 +8,14 @@ the fidelity against the GHZ target expressed in the W basis.
 
 import time
 
-import numpy as np
-
-from ghznet.protocol import compile_plan, execute_symmetric
-from ghznet.symmetric import ghz_w_target
+from ghznet.protocol import compile_plan, verify
 
 g, gz = 1.0, 0.05
 
 print(f"{'N':>6} {'fidelity':>16} {'time':>8}")
 for n in (11, 101, 1001, 5001, 10001):
     start = time.monotonic()
-    plan = compile_plan(n, g, gz)
-    w = execute_symmetric(plan, g, gz)
-    target = ghz_w_target(n).coeffs
-    ov = np.vdot(target, w.coeffs)
-    fid = 1 - np.linalg.norm(w.coeffs * (ov.conjugate() / abs(ov)) - target)
+    fid, _ = verify(n, g, gz, engine="symmetric")
     print(f"{n:>6} {fid:>16.12f} {time.monotonic() - start:>7.2f}s")
 
 print()

@@ -12,7 +12,9 @@ Parameters come from a JSON config file (``--config``); command-line flags
 override file values.  Every config key of a command has a ``--kebab-case``
 flag (``--n`` for ``n_qubits``).  Unknown config keys and non-finite
 numbers are rejected.  Exit codes: 0 success, 1 input error, 2 numerical
-failure.
+failure.  A count beyond int64 (``--max-evals``, ``--restarts``,
+``--eta13-steps``) and a size whose arrays cannot be allocated are input
+errors.
 
 Couplings are dimensionless rates.  ``--report-mhz G`` additionally prints
 pulse times in nanoseconds, treating the XY coupling as an angular
@@ -30,7 +32,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .couplings import ideal, perturbed_n3, star_to_delta, to_sparse
+from .couplings import MAX_COUNT, check_integer, ideal, perturbed_n3, star_to_delta, to_sparse
 from .dense import NoGlobalPhaseError, StateVector, phase_aligned
 from .optimizer import (
     OptimizerConfig,
@@ -213,10 +215,8 @@ def cmd_optimize(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    steps = cfg["eta13_steps"]
     # np.linspace would name neither the key nor the rule
-    if steps < 1:
-        raise ValueError(f"eta13_steps must be >= 1, got {steps}")
+    steps = check_integer(cfg["eta13_steps"], "eta13_steps", 1, MAX_COUNT)
     grid = np.linspace(cfg["eta13_start"], cfg["eta13_stop"], steps)
     rows = sweep(
         grid,
@@ -289,7 +289,8 @@ def main(argv=None) -> int:
     except (NoGlobalPhaseError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
+    # MemoryError: a count whose arrays cannot be allocated
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -27,29 +27,32 @@ PairMap = dict[tuple[int, int], float]
 
 # largest qubit count held as a dense 2^N state or matrix
 MAX_DENSE_QUBITS = 14
+# largest count that sizes an int64 counter or a numpy array
+MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
-def check_integer(x: int, name: str) -> int:
-    """``x`` as an int, if it is an integer (not a bool)."""
+def check_integer(x: int, name: str, low: int | None = None, high: int | None = None) -> int:
+    """``x`` as an int, if it is an integer (not a bool) in ``low..high``;
+    a bound of None leaves that side open."""
     if isinstance(x, bool) or not isinstance(x, Integral):
         raise ValueError(f"{name} must be an integer, got {x!r}")
-    return int(x)
+    x = int(x)
+    if (low is not None and x < low) or (high is not None and x > high):
+        span = f">= {low}" if high is None else f"<= {high}" if low is None else f"in {low}..{high}"
+        # str() of an int beyond 4300 digits raises
+        got = x if x.bit_length() <= 128 else f"a {x.bit_length()}-bit integer"
+        raise ValueError(f"{name} must be {span}, got {got}")
+    return x
 
 
 def check_qubit_count(n: int, minimum: int = 2) -> int:
     """``n`` as an int, if it is an integer (not a bool) >= ``minimum``."""
-    n = check_integer(n, "qubit count")
-    if n < minimum:
-        raise ValueError(f"need at least {minimum} qubits, got {n}")
-    return n
+    return check_integer(n, "qubit count", minimum)
 
 
 def check_dense_qubit_count(n: int, minimum: int = 1) -> int:
     """:func:`check_qubit_count`, and at most ``MAX_DENSE_QUBITS``."""
-    n = check_qubit_count(n, minimum)
-    if n > MAX_DENSE_QUBITS:
-        raise ValueError(f"dense states need 1..{MAX_DENSE_QUBITS} qubits, got {n}")
-    return n
+    return check_integer(n, "dense qubit count", minimum, MAX_DENSE_QUBITS)
 
 
 def check_real(x: float, name: str) -> float:

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import CouplingGraph, check_integer, check_real, perturbed_n3
+from .couplings import MAX_COUNT, CouplingGraph, check_integer, check_real, perturbed_n3
 from .dense import StateVector, fidelity_frobenius_raw, rotate_pulses, single_qubit_rotation
 from .protocol import (
     HamiltonianPropagator, ProtocolPlan, apply_factors, compile_plan, ghz_target,
@@ -143,20 +143,16 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_evals", "restarts", "seed"):
-            object.__setattr__(self, name, check_integer(getattr(self, name), name))
+        # no evaluation means no start-0 result to fall back on; both counts
+        # size int64 counters and arrays.  default_rng takes any seed >= 0
+        # and refuses a negative one, but only once sweep is under way,
+        # which would record bad input as failed rows
+        bounds = {"max_evals": (1, MAX_COUNT), "restarts": (1, MAX_COUNT), "seed": (0, None)}
+        for name, (low, high) in bounds.items():
+            object.__setattr__(self, name, check_integer(getattr(self, name), name, low, high))
         object.__setattr__(self, "tolerance", check_real(self.tolerance, "tolerance"))
-        # no evaluation means no start-0 result to fall back on
-        if self.max_evals < 1:
-            raise ValueError(f"max_evals must be >= 1, got {self.max_evals}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.tolerance < 0:
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
-        # default_rng refuses it too, but only once sweep is under way,
-        # which would record bad input as failed rows
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

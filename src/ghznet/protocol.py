@@ -165,9 +165,7 @@ class ProtocolPlan:
         for p in self.finals:
             if p.axis not in ("x", "y", "z"):
                 raise ValueError(f"pulse axis must be x, y or z, got {p.axis!r}")
-            qubit = None if p.qubit is None else check_integer(p.qubit, "pulse qubit")
-            if qubit is not None and not 1 <= qubit <= n:
-                raise ValueError(f"pulse qubit {qubit} out of range 1..{n}")
+            qubit = None if p.qubit is None else check_integer(p.qubit, "pulse qubit", 1, n)
             finals.append(Pulse(p.axis, check_real(p.angle, "pulse angle"), qubit))
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "entangle_duration", t)
@@ -278,7 +276,8 @@ class HamiltonianPropagator:
         self._rates = None
         self._start = _prepared(self.n_qubits).real
         diag = h.diagonal()
-        off = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
+        # h.sum(axis=1)'s reduction on |data|, no copy of h; every row stores its diagonal
+        off = np.add.reduceat(np.abs(h.data), h.indptr[:-1]) - np.abs(diag)
         lower, upper = np.min(diag - off), np.max(diag + off)
         self._centre = 0.5 * (upper + lower)
         # r = 0 means H = c I; any positive scale then expands exactly

@@ -256,6 +256,52 @@ class TestCommands:
         assert captured.out == ""
         assert "eta13_steps" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["sweep", "--max-evals", str(2**63)], "max_evals"),
+            (["optimize", "--max-evals", str(10**20)], "max_evals"),
+            (["optimize", "--restarts", str(10**399)], "restarts"),
+            (["sweep", "--eta13-steps", str(10**399)], "eta13_steps"),
+        ],
+    )
+    def test_count_beyond_int64_names_its_key(self, argv, key, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key} must be in 1..{2**63 - 1}, got ")
+        assert captured.err.count("\n") == 1
+
+    def test_seed_beyond_int64_accepted(self, tmp_path):
+        out = tmp_path / "opt.csv"
+        assert main(["optimize", "--seed", str(10**32), "--out", str(out)]) == EXIT_OK
+        assert out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["eigs", "--n", "5"], "analytic_eigenvalues"),
+            (["protocol", "--n", "5", "--engine", "symmetric"], "compile_plan"),
+            (["optimize", "--restarts", "3"], "optimize"),
+            (["sweep", "--eta13-steps", "3"], "sweep"),
+        ],
+    )
+    def test_allocation_failure_is_input_error(self, argv, name, monkeypatch, tmp_path, capsys):
+        # a count too large to allocate; raised, never asked of numpy for
+        # real, since an overcommitting kernel may grant it
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_INPUT
+        assert list(tmp_path.iterdir()) == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate 72.8 TiB for an array\n"
+
     def test_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
         cfg = tmp_path / "cfg.json"

@@ -758,6 +758,24 @@ class TestOptimize:
         with pytest.raises(ValueError, match="seed"):
             OptimizerConfig(seed=seed)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        key=st.sampled_from(["max_evals", "restarts", "seed"]),
+        m=st.integers(-3, 3),
+        e=st.integers(60, 66),
+        d=st.integers(-1, 1),
+    )
+    def test_counts_near_the_int64_edge(self, key, m, e, d):
+        # the counts size int64 counters and arrays; default_rng takes any
+        # seed >= 0, so only the seed stays unbounded above
+        value = (m << e) + d
+        low, high = (0, None) if key == "seed" else (1, 2**63 - 1)
+        if low <= value and (high is None or value <= high):
+            assert getattr(OptimizerConfig(**{key: value}), key) == value
+        else:
+            with pytest.raises(ValueError, match=key):
+                OptimizerConfig(**{key: value})
+
     def test_config_stores_python_numbers(self):
         config = OptimizerConfig(np.float64(1e-9), np.int64(300), np.int32(2), np.uint8(1))
         assert config == OptimizerConfig(1e-9, 300, 2, 1)

@@ -81,6 +81,12 @@ INVOCATIONS: list[list[str]] = [
     ["protocol", "--n", "3", "--g", "1", "--gz", "1"],
     ["protocol", "--n", "7", "--g", "1", "--gz", "0.999999999"],
     ["sweep", "--eta13-start", "-0.5"],
+    # the count bounds: beyond int64 is an input error, a seed is unbounded
+    ["sweep", "--max-evals", str(10**20)],
+    ["optimize", "--restarts", str(10**399)],
+    ["sweep", "--eta13-steps", str(10**399)],
+    ["optimize", "--seed", str(10**32)],
+    ["protocol", "--n", "1"],
 ]
 
 
