@@ -7,6 +7,7 @@ pulse parameters when the pairwise couplings are imperfect.
 
 from .couplings import (
     CouplingGraph,
+    dense_hamiltonian,
     ideal,
     perturbed_general,
     perturbed_n3,

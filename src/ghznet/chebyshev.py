@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.special import jv
 
 # Bessel coefficients below this (past order r|t|) end the expansion
 CHEBYSHEV_TAIL = 1e-17
@@ -80,6 +79,8 @@ def chebyshev_propagate(
 
 def _chebyshev_coefficients(x: float) -> np.ndarray:
     """J_k(x) for k = 0, 1, ... up to the first k > |x| with |J_k| < tail."""
+    from scipy.special import jv
+
     span = 2.0 * abs(x) + 32.0
     while True:
         k = np.arange(int(span))

@@ -32,7 +32,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .couplings import MAX_COUNT, check_integer, ideal, perturbed_n3, star_to_delta, to_sparse
+from .couplings import MAX_COUNT, check_integer, dense_hamiltonian, ideal, perturbed_n3, star_to_delta
 from .dense import NoGlobalPhaseError, StateVector, phase_aligned
 from .optimizer import (
     OptimizerConfig,
@@ -151,7 +151,7 @@ def _state_lines(psi: StateVector) -> list[str]:
 def cmd_eigs(cfg: dict) -> int:
     n, g, gz = cfg["n_qubits"], cfg["g"], cfg["gz"]
     lam = analytic_eigenvalues(n, g, gz)
-    h = to_sparse(ideal(n, g, gz)).toarray().astype(complex) if n <= 10 else None
+    h = dense_hamiltonian(ideal(n, g, gz)) if n <= 10 else None
     lines = ["j,lambda_analytic,lambda_numeric,abs_diff"]
     for j in range(n + 1):
         if h is None:

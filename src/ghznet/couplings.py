@@ -18,10 +18,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral, Real
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 PairMap = dict[tuple[int, int], float]
 
@@ -180,7 +182,7 @@ def _exchange_pattern(n: int) -> _ExchangePattern:
     come out in ascending column order with nothing to sort.  Qubit k is
     bit n - k of an index (qubit 1 the most significant); ``signs`` holds
     it as +1 (set) or -1 (clear), for the masks here and the ZZ diagonal
-    of :func:`to_sparse`.  The arrays are read-only: :func:`to_sparse`
+    of :func:`_entries`.  The arrays are read-only: :func:`to_sparse`
     copies what it hands out.
     """
     pairs = _all_pairs(n)
@@ -219,6 +221,22 @@ def _exchange_pattern(n: int) -> _ExchangePattern:
     return pattern
 
 
+def _entries(graph: CouplingGraph) -> np.ndarray:
+    """H's entries in the order of its :func:`_exchange_pattern`: each XY
+    value through ``slot``, the ZZ diagonal at ``diagonal``."""
+    n = check_dense_qubit_count(graph.n_qubits)
+    pattern = _exchange_pattern(n)
+    signs = pattern.signs
+    diag = np.zeros(1 << n)
+    for (l, k), gz in graph.zz.items():
+        diag += 0.5 * gz * signs[l - 1] * signs[k - 1]
+
+    values = np.array([graph.xy[p] for p in _all_pairs(n)] + [0.0], dtype=float)
+    data = values[pattern.slot]
+    data[pattern.diagonal] = diag
+    return data
+
+
 def to_sparse(graph: CouplingGraph) -> csr_matrix:
     """Sparse float64 CSR matrix of the exchange Hamiltonian.
 
@@ -232,22 +250,39 @@ def to_sparse(graph: CouplingGraph) -> csr_matrix:
     are built once per N and cached, with the int8 qubit signs of its ZZ
     diagonal: 0.2 MB for all of N = 2..10, then 0.3, 0.8, 1.8 and 4.2 MB
     at N = 11, 12, 13 and 14, 7.5 MB for all of N = 2..14.  The matrix
-    owns its arrays, so a caller may modify it.
+    owns its arrays, so a caller may modify it.  ``scipy.sparse`` is
+    imported on the first call.
     """
-    n = check_dense_qubit_count(graph.n_qubits)
-    dim = 1 << n
-    pattern = _exchange_pattern(n)
-    signs = pattern.signs
-    diag = np.zeros(dim)
-    for (l, k), gz in graph.zz.items():
-        diag += 0.5 * gz * signs[l - 1] * signs[k - 1]
+    from scipy.sparse import csr_matrix
 
-    values = np.array([graph.xy[p] for p in _all_pairs(n)] + [0.0], dtype=float)
-    data = values[pattern.slot]
-    data[pattern.diagonal] = diag
+    data = _entries(graph)
+    pattern = _exchange_pattern(graph.n_qubits)
+    dim = len(pattern.indptr) - 1
     return csr_matrix(
         (data, pattern.indices.copy(), pattern.indptr.copy()), shape=(dim, dim)
     )
+
+
+# the factorized propagator's range, N = 2..6, and eigs' up to N = 10
+@lru_cache(maxsize=9)
+def _flat_positions(n: int) -> np.ndarray:
+    """Each pattern entry's index row * 2^n + column in a flat (2^n, 2^n) array."""
+    pattern = _exchange_pattern(n)
+    rows = np.repeat(np.arange(1 << n, dtype=np.intp), np.diff(pattern.indptr))
+    flat = (rows << n) + pattern.indices
+    flat.setflags(write=False)
+    return flat
+
+
+def dense_hamiltonian(graph: CouplingGraph) -> np.ndarray:
+    """The complex (2^N, 2^N) matrix of :func:`to_sparse`, with the bits of
+    ``to_sparse(graph).toarray().astype(complex)``, built without scipy."""
+    data = _entries(graph)
+    n = graph.n_qubits
+    h = np.zeros((1 << n, 1 << n), dtype=complex)
+    # + 0.0 as toarray() sums into zeros: a stored -0.0 comes out +0.0
+    h.reshape(-1)[_flat_positions(n)] = data + 0.0
+    return h
 
 
 def star_to_delta(c_star: float, n: int) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import check_dense_qubit_count
+from .couplings import check_dense_qubit_count, check_integer
 
 NORM_ATOL = 1e-12
 PHASE_OVERLAP_ATOL = 1e-6
@@ -126,6 +126,7 @@ def rotate_amplitudes(amplitudes: np.ndarray, n: int, k: int, u: np.ndarray) -> 
 
 def apply_rotation(state: StateVector, k: int, axis: str, angle: float) -> StateVector:
     n = state.n_qubits
+    k = check_integer(k, "qubit index")
     if not 1 <= k <= n:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
     u = single_qubit_rotation(axis, angle)

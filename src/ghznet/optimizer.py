@@ -436,7 +436,10 @@ def minimize(fun, x0, lower, upper, xatol, fatol, maxfev) -> MinimizeResult:
     """Bounded Nelder-Mead from ``x0`` within [``lower``, ``upper``]: the
     one-search :func:`_lockstep`, with ``fun`` called once per trial point
     on a row of its own.  For two or more variables its result equals
-    scipy's bit for bit (one variable: see :func:`_lockstep`)."""
+    scipy's bit for bit (one variable: see :func:`_lockstep`).  ``maxfev``
+    is a count in 1..``MAX_COUNT``, as :class:`OptimizerConfig`'s
+    ``max_evals`` is."""
+    maxfev = check_integer(maxfev, "maxfev", 1, MAX_COUNT)
     (result,) = _lockstep(
         [x0], lower, upper, xatol, fatol, maxfev, lambda rows, _: [fun(x) for x in rows]
     )

@@ -47,6 +47,7 @@ from .couplings import (
     check_integer,
     check_qubit_count,
     check_real,
+    dense_hamiltonian,
     ideal,
     to_sparse,
 )
@@ -246,16 +247,18 @@ class HamiltonianPropagator:
     Two paths, chosen by qubit count:
 
     * factorized (N <= ``EIGH_MAX_QUBITS``) -- the full complex
-      eigendecomposition of H, built with the propagator, and the start's
-      coefficients in that eigenbasis (its :attr:`factors`), after which
-      each apply is one dense product, :func:`apply_factors`, which also
-      applies stacks of several propagators' factors row by row;
-    * matrix-free (above) -- H is stored as real CSR shifted and scaled to
-      [-1, 1] by its Gershgorin bounds (centre c, radius r), written into
-      the arrays :func:`~ghznet.couplings.to_sparse` returned (same
-      positions, zeros kept; no second matrix is built), and each apply
-      is a :func:`~ghznet.chebyshev.chebyshev_propagate` expansion of the
-      real start, one real sparse matrix-vector product per term.
+      eigendecomposition of :func:`~ghznet.couplings.dense_hamiltonian`
+      (no scipy), built with the propagator, and the start's coefficients
+      in that eigenbasis (its :attr:`factors`), after which each apply is
+      one dense product, :func:`apply_factors`, which also applies stacks
+      of several propagators' factors row by row;
+    * matrix-free (above) -- the only path that reads the arrays
+      :func:`~ghznet.couplings.to_sparse` returns: H is stored as real CSR
+      shifted and scaled to [-1, 1] by its Gershgorin bounds (centre c,
+      radius r), written into those arrays (same positions, zeros kept;
+      no second matrix is built), and each apply is a
+      :func:`~ghznet.chebyshev.chebyshev_propagate` expansion of the real
+      start, one real sparse matrix-vector product per term.
 
     The expansion length grows as r|t|; beyond ``MAX_CHEBYSHEV_ORDER``
     (near-degenerate couplings) a matrix-free apply raises
@@ -264,17 +267,17 @@ class HamiltonianPropagator:
 
     def __init__(self, graph: CouplingGraph):
         self.n_qubits = graph.n_qubits
-        h = to_sparse(graph)
         if graph.n_qubits <= EIGH_MAX_QUBITS:
             # complex eigh of the complex matrix, as the N <= 6 results
             # depend on its exact rounding (the real solver gives other bits)
-            eigvals, self._eigvecs = np.linalg.eigh(h.toarray().astype(complex))
+            eigvals, self._eigvecs = np.linalg.eigh(dense_hamiltonian(graph))
             # -1j * eigvals, the first factor of every apply's phase product
             self._rates = -1j * eigvals
             self._start = self._eigvecs.conj().T @ _prepared(self.n_qubits)
             return
         self._rates = None
         self._start = _prepared(self.n_qubits).real
+        h = to_sparse(graph)
         diag = h.diagonal()
         # h.sum(axis=1)'s reduction on |data|, no copy of h; every row stores its diagonal
         off = np.add.reduceat(np.abs(h.data), h.indptr[:-1]) - np.abs(diag)

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .chebyshev import chebyshev_propagate
 from .couplings import check_dense_qubit_count, check_qubit_count, check_real
@@ -163,6 +162,8 @@ def collective_rotation(state: WBasisState, axis: str, angle: float) -> WBasisSt
 def uniform_superposition(n: int) -> WBasisState:
     """The collective y pi/2 rotation of |W_0> = |0...0>, in closed form:
     c_j = sqrt(C(N,j)) / 2^(N/2), from log-gamma (finite at any N)."""
+    from scipy.special import gammaln
+
     n = check_qubit_count(n, minimum=1)
     j = np.arange(n + 1, dtype=float)
     log_c = 0.5 * (gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1))

@@ -33,6 +33,14 @@ def test_warmups_reach_every_counted_layer(bench_modules, tmp_path):
             work = workloads.build(name, 0, tmp_path)
             with tracer.operation():
                 work.warmup()
+        # no warm-up builds a Hamiltonian above EIGH_MAX_QUBITS, the only
+        # one that goes through to_sparse: verify's first such operation does
+        (matrix_free,) = [
+            op for op in workloads.build("verify", 0, tmp_path).ops
+            if op.label == "verify-7-1.0-0.0"
+        ]
+        with tracer.operation():
+            matrix_free.run()
     metrics = tracer.metrics()
     for layer in (
         "couplings.to_sparse_calls",

@@ -11,6 +11,7 @@ from ghznet.couplings import (
     MAX_DENSE_QUBITS,
     CouplingGraph,
     _exchange_pattern,
+    dense_hamiltonian,
     ideal,
     perturbed_general,
     perturbed_n3,
@@ -297,6 +298,31 @@ class TestSparsePattern:
         a, b = to_sparse(ideal(n, 1.0, 0.05)), to_sparse(ideal(n, 0.5, 1.0))
         for name in ("indptr", "indices", "data"):
             assert not np.shares_memory(getattr(a, name), getattr(b, name)), name
+
+
+class TestDenseHamiltonian:
+    """dense_hamiltonian writes to_sparse's entries into a dense matrix
+    without scipy; ``toarray()`` of to_sparse is the bitwise oracle."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("gz", [0.05, -0.05])
+    def test_equals_toarray(self, n, gz):
+        rng = np.random.default_rng([n, 11])
+        pairs = list(ideal(n, 1.0, gz).xy)
+        seeded = perturbed_general(n, 1.0, gz, {p: rng.uniform(0.9, 1.0) for p in pairs})
+        zz = {p: gz for p in pairs}
+        graphs = [
+            seeded,
+            # a zero coupling keeps its stored entries; toarray() turns a
+            # stored -0.0 into +0.0, as it sums into zeros
+            CouplingGraph(n, {**seeded.xy, (1, 2): 0.0}, zz, 1.0, gz),
+            CouplingGraph(n, {**seeded.xy, (1, n): -0.0}, zz, 1.0, gz),
+        ]
+        for graph in graphs:
+            want = to_sparse(graph).toarray().astype(complex)
+            got = dense_hamiltonian(graph)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestStarToDelta:

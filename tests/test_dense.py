@@ -151,6 +151,12 @@ class TestRotationKernel:
             with pytest.raises(ValueError, match="out of range"):
                 apply_rotation(psi, k, "x", 0.3)
 
+    @pytest.mark.parametrize("k", [1.5, True])
+    def test_qubit_must_be_an_integer(self, k):
+        psi = random_state(3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="qubit index must be an integer"):
+            apply_rotation(psi, k, "x", 0.3)
+
 
 def _pulse_steps(n, qubits, us):
     """The pulses as (qubit, matrix) steps, a collective pulse as n steps."""

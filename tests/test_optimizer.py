@@ -253,6 +253,42 @@ class TestMinimizeBits:
         env = {**os.environ, "PYTHONPATH": str(src)}
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
+    def test_import_sweep_verify_and_eigs_load_no_scipy(self, tmp_path):
+        # scipy loads only for to_sparse, N >= 7 propagation and the
+        # symmetric engine; each step here runs in one fresh process
+        src = Path(optimizer.__file__).resolve().parents[1]
+        code = """if True:
+            import sys
+
+            def check(step):
+                loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+                assert not loaded, f"{step} loaded {loaded[:5]}"
+
+            import ghznet, ghznet.cli
+            check("import")
+            assert ghznet.cli.main(["sweep", "--out", "sweep.csv"]) == 0
+            check("sweep")
+            ghznet.protocol.verify(4, 1.0, 0.05)
+            check("verify")
+            assert ghznet.cli.main(["eigs", "--n", "6"]) == 0
+            check("eigs")
+        """
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("maxfev", [10**20, 0, -3, 2.5, True])
+    def test_bad_maxfev_refused(self, maxfev):
+        def fun(x):
+            return round(float(x @ x), 2)
+
+        with pytest.raises(ValueError, match="maxfev"):
+            optimizer.minimize(
+                fun, np.full(3, 0.9), np.full(3, -1.0), np.full(3, 2.0), 1e-4, 1e-8, maxfev
+            )
+
 
 # FAMILIES plus a problem above EIGH_MAX_QUBITS, whose rows each run one
 # Chebyshev expansion

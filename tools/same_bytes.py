@@ -25,7 +25,9 @@ only and gives the SHA-256 digest of its results' bytes:
   seeded and signed-zero starts, in an open box, a box of zero width in
   one variable and a box of zero width in all;
 * ``to_sparse`` arrays and ``HamiltonianPropagator.propagate`` states of
-  seeded graphs of 2 to 14 qubits;
+  seeded graphs of 2 to 14 qubits, and ``HamiltonianPropagator.factors``
+  (the eigendecomposition) of seeded graphs of 2 to 6 qubits and of a
+  four-qubit graph with a -0.0 XY coupling;
 * ``execute_symmetric`` at 1001 qubits.
 
 The digests are compared case by case.  One line is printed per group of
@@ -249,6 +251,18 @@ def corpus() -> list[tuple[str, object]]:
             h = couplings.to_sparse(graph(n, n))
             return [h.shape, h.data, h.indices, h.indptr]
         cases.append((f"to_sparse/n-{n}", case))
+    def xy_negative_zero():
+        uniform = couplings.ideal(4, 1.0, 0.05)
+        return couplings.CouplingGraph(4, {**uniform.xy, (1, 2): -0.0}, uniform.zz, 1.0, 0.05)
+
+    # the factorized propagator's eigendecomposition, which pins its eigh input
+    factor_graphs = {f"n-{n}": functools.partial(graph, n, n) for n in range(2, 7)}
+    factor_graphs["n-4-xy-negative-zero"] = xy_negative_zero
+    for label, make in factor_graphs.items():
+        cases.append((
+            f"factors/{label}",
+            lambda make=make: list(protocol.HamiltonianPropagator(make()).factors),
+        ))
     for n in range(2, 15):
         def case(n=n):
             propagator = protocol.HamiltonianPropagator(graph(n, n))
